@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 
 namespace eecs::detect {
 
@@ -26,29 +27,76 @@ struct BestSplit {
   float polarity = 1.0f;
 };
 
-/// Best threshold/polarity for one feature given a precomputed ascending
-/// sample order for that feature.
-BestSplit best_split_for_feature(const std::vector<std::vector<float>>& x,
-                                 const std::vector<int>& y, const std::vector<double>& w,
-                                 int feature, std::span<const int> order) {
-  const std::size_t n = x.size();
+/// The training set laid out feature-major for the stump sweep: per feature,
+/// the ascending sample order and that feature's values in the same order,
+/// so a sweep streams one contiguous column instead of one heap row per
+/// sample. Built once, reused by every round.
+struct SortedColumns {
+  std::size_t n = 0;
+  std::vector<int> order;     ///< [feature * n + rank] -> sample index.
+  std::vector<float> values;  ///< [feature * n + rank] -> x[order][feature].
+
+  SortedColumns(const std::vector<std::vector<float>>& x, int dim)
+      : n(x.size()), order(static_cast<std::size_t>(dim) * n), values(order.size()) {
+    const auto sort_features = [&](std::size_t begin, std::size_t end) {
+      std::vector<float> column(n);
+      for (std::size_t f = begin; f < end; ++f) {
+        for (std::size_t i = 0; i < n; ++i) column[i] = x[i][f];
+        int* ord = order.data() + f * n;
+        std::iota(ord, ord + n, 0);
+        std::sort(ord, ord + n, [&](int a, int b) {
+          return column[static_cast<std::size_t>(a)] < column[static_cast<std::size_t>(b)];
+        });
+        float* vals = values.data() + f * n;
+        for (std::size_t i = 0; i < n; ++i) vals[i] = column[static_cast<std::size_t>(ord[i])];
+      }
+    };
+    common::parallel_for(static_cast<std::size_t>(dim), 1, sort_features);
+  }
+};
+
+/// One round's sample weights split by class: pos[i] is w[i] for a positive
+/// sample and +0.0 otherwise (neg[i] the converse), plus each class's total
+/// summed in index order.
+struct ClassWeights {
+  std::vector<double> pos, neg;
   double total_pos = 0.0, total_neg = 0.0;
-  for (std::size_t i = 0; i < n; ++i) (y[i] == 1 ? total_pos : total_neg) += w[i];
+
+  void assign(const std::vector<double>& w, const std::vector<int>& y) {
+    pos.resize(w.size());
+    neg.resize(w.size());
+    total_pos = total_neg = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      (y[i] == 1 ? total_pos : total_neg) += w[i];
+      pos[i] = y[i] == 1 ? w[i] : 0.0;
+      neg[i] = y[i] == 1 ? 0.0 : w[i];
+    }
+  }
+};
+
+/// Best threshold/polarity for one feature: a linear weighted-error sweep
+/// over its sorted column.
+BestSplit best_split_for_feature(const SortedColumns& columns, int feature,
+                                 const ClassWeights& w) {
+  const std::size_t n = columns.n;
+  const int* order = columns.order.data() + static_cast<std::size_t>(feature) * n;
+  const float* values = columns.values.data() + static_cast<std::size_t>(feature) * n;
 
   BestSplit best;
   // Sweep thresholds between consecutive distinct values. For "x > t ->
   // positive" the error at a split is (positives below) + (negatives above).
+  // Each sample adds to both running sums; the other class's +0.0 leaves a
+  // non-negative sum unchanged, so this equals adding to its own class only,
+  // without a label branch.
   double pos_below = 0.0, neg_below = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t idx = static_cast<std::size_t>(order[i]);
-    (y[idx] == 1 ? pos_below : neg_below) += w[idx];
-    const float value = x[idx][static_cast<std::size_t>(feature)];
-    if (i + 1 < n &&
-        x[static_cast<std::size_t>(order[i + 1])][static_cast<std::size_t>(feature)] == value) {
-      continue;
-    }
-    const double err_pos_polarity = pos_below + (total_neg - neg_below);
-    const double err_neg_polarity = neg_below + (total_pos - pos_below);
+    pos_below += w.pos[idx];
+    neg_below += w.neg[idx];
+    const float value = values[i];
+    if (i + 1 < n && values[i + 1] == value) continue;
+    const double err_pos_polarity = pos_below + (w.total_neg - neg_below);
+    const double err_neg_polarity = neg_below + (w.total_pos - pos_below);
     if (err_pos_polarity < best.error) best = {err_pos_polarity, value, +1.0f};
     if (err_neg_polarity < best.error) best = {err_neg_polarity, value, -1.0f};
   }
@@ -65,34 +113,32 @@ BoostedModel train_adaboost(const std::vector<std::vector<float>>& x, const std:
   EECS_EXPECTS(options.rounds >= 1 && options.features_per_round >= 1);
 
   const std::size_t n = x.size();
-
-  // Sample order per feature, sorted once and reused across rounds: turns the
-  // per-round work into a linear weighted-error sweep.
-  std::vector<int> sort_cache(static_cast<std::size_t>(dim) * n);
-  for (int f = 0; f < dim; ++f) {
-    int* order = sort_cache.data() + static_cast<std::size_t>(f) * n;
-    std::iota(order, order + n, 0);
-    std::sort(order, order + n, [&](int a, int b) {
-      return x[static_cast<std::size_t>(a)][static_cast<std::size_t>(f)] <
-             x[static_cast<std::size_t>(b)][static_cast<std::size_t>(f)];
-    });
-  }
+  const SortedColumns columns(x, dim);
 
   std::vector<double> w(n, 1.0 / static_cast<double>(n));
   BoostedModel model;
+  ClassWeights class_weights;
+  std::vector<BestSplit> splits;
 
   for (int round = 0; round < options.rounds; ++round) {
     const int k = std::min(options.features_per_round, dim);
     const std::vector<int> features = rng.sample_indices(dim, k);
+    class_weights.assign(w, y);
 
+    // Score every sampled feature into its own slot, then fold the slots in
+    // sample order: the first strictly best feature wins, at any width.
+    splits.assign(features.size(), BestSplit{});
+    common::parallel_for(features.size(), 8, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t j = begin; j < end; ++j) {
+        splits[j] = best_split_for_feature(columns, features[j], class_weights);
+      }
+    });
     BestSplit best;
     int best_feature = features.front();
-    for (int f : features) {
-      const BestSplit split = best_split_for_feature(
-          x, y, w, f, {sort_cache.data() + static_cast<std::size_t>(f) * n, n});
-      if (split.error < best.error) {
-        best = split;
-        best_feature = f;
+    for (std::size_t j = 0; j < features.size(); ++j) {
+      if (splits[j].error < best.error) {
+        best = splits[j];
+        best_feature = features[j];
       }
     }
 

@@ -103,7 +103,6 @@ TrainingSet generate_training_set(Rng& rng, const TrainingSetOptions& options) {
     }
     if (scene_index > 16) break;  // Safety valve; never triggers in practice.
   }
-  (void)options.clutter_fraction;  // Clutter appears naturally in clutter scenes.
   return set;
 }
 

@@ -24,8 +24,6 @@ struct TrainingSet {
 struct TrainingSetOptions {
   int num_positives = 350;
   int num_negatives = 700;
-  /// Fraction of negatives that are furniture distractors (hard negatives).
-  double clutter_fraction = 0.30;
 };
 
 /// Generate a deterministic training set from the given RNG.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/metrics.hpp"
 #include "core/offline.hpp"
+#include "setup_digest.hpp"
 
 namespace eecs::core {
 namespace {
@@ -153,6 +157,38 @@ TEST(OfflineProfiles, FPerJouleOrdersDowngradeCandidates) {
   b.cpu_joules_per_frame = 0.1;
   EXPECT_GT(b.f_per_joule(), a.f_per_joule());
 }
+
+// --- Offline-knowledge goldens: every profile field and the comparator's
+// similarities on a fixed probe, captured at %.17g. Regenerate with
+// tools/golden_offline after an intentional change to offline numerics.
+
+struct GoldenOffline {
+  int frames_per_item = 0;
+  const char* digest = nullptr;
+};
+
+constexpr GoldenOffline kGoldenOffline[] = {
+#include "golden_offline.inc"
+};
+
+void expect_offline_golden(int frames_per_item) {
+  static const DetectorBank bank = detect::make_trained_detectors(1234);
+  const auto golden =
+      std::find_if(std::begin(kGoldenOffline), std::end(kGoldenOffline),
+                   [&](const auto& g) { return g.frames_per_item == frames_per_item; });
+  ASSERT_NE(golden, std::end(kGoldenOffline));
+  const auto want = setup_digest::lines(golden->digest);
+  const auto got = setup_digest::lines(
+      setup_digest::knowledge(setup_digest::reference_knowledge(bank, frames_per_item)));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+}
+
+TEST(GoldenOffline, FramesPerItem4BitExact) { expect_offline_golden(4); }
+
+// 14 GT frames exceed feature_frames_per_item (12): the segment hop is set by
+// the GT frames instead, and the last two GT frames carry no features.
+TEST(GoldenOffline, FramesPerItem14BitExact) { expect_offline_golden(14); }
 
 }  // namespace
 }  // namespace eecs::core

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
+#include "common/parallel.hpp"
 #include "detect/acf_detector.hpp"
 #include "detect/batch_precompute.hpp"
 #include "detect/boosting.hpp"
@@ -114,6 +118,150 @@ TEST(Boosting, AlphasArePositive) {
   const BoostedModel model = train_adaboost(x, y, rng, {20, 1});
   ASSERT_FALSE(model.stumps.empty());
   for (const auto& st : model.stumps) EXPECT_GT(st.alpha, 0.0f);
+}
+
+// --- Boosting oracle: the feature-major stump search, scored in parallel,
+// must pick exactly the stumps of the row-major serial search it replaced,
+// kept here as the reference implementation.
+
+/// The row-major serial reference: per feature, a sample order sorted once;
+/// each round re-sums the class totals for every sampled feature and sweeps
+/// it by reading x[order[i]][f], one heap row per sample.
+BoostedModel reference_adaboost(const std::vector<std::vector<float>>& x,
+                                const std::vector<int>& y, Rng& rng,
+                                const BoostOptions& options) {
+  struct Split {
+    double error = 1.0;
+    float threshold = 0.0f;
+    float polarity = 1.0f;
+  };
+  const int dim = static_cast<int>(x.front().size());
+  const std::size_t n = x.size();
+  std::vector<int> sort_cache(static_cast<std::size_t>(dim) * n);
+  for (int f = 0; f < dim; ++f) {
+    int* order = sort_cache.data() + static_cast<std::size_t>(f) * n;
+    std::iota(order, order + n, 0);
+    std::sort(order, order + n, [&](int a, int b) {
+      return x[static_cast<std::size_t>(a)][static_cast<std::size_t>(f)] <
+             x[static_cast<std::size_t>(b)][static_cast<std::size_t>(f)];
+    });
+  }
+  const auto split_for = [&](const std::vector<double>& w, int feature) {
+    const int* order = sort_cache.data() + static_cast<std::size_t>(feature) * n;
+    const auto value_at = [&](std::size_t rank) {
+      return x[static_cast<std::size_t>(order[rank])][static_cast<std::size_t>(feature)];
+    };
+    double total_pos = 0.0, total_neg = 0.0;
+    for (std::size_t i = 0; i < n; ++i) (y[i] == 1 ? total_pos : total_neg) += w[i];
+    Split best;
+    double pos_below = 0.0, neg_below = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t idx = static_cast<std::size_t>(order[i]);
+      (y[idx] == 1 ? pos_below : neg_below) += w[idx];
+      const float value = value_at(i);
+      if (i + 1 < n && value_at(i + 1) == value) continue;
+      const double err_pos = pos_below + (total_neg - neg_below);
+      const double err_neg = neg_below + (total_pos - pos_below);
+      if (err_pos < best.error) best = {err_pos, value, +1.0f};
+      if (err_neg < best.error) best = {err_neg, value, -1.0f};
+    }
+    return best;
+  };
+
+  std::vector<double> w(n, 1.0 / static_cast<double>(n));
+  BoostedModel model;
+  for (int round = 0; round < options.rounds; ++round) {
+    const std::vector<int> features =
+        rng.sample_indices(dim, std::min(options.features_per_round, dim));
+    Split best;
+    int best_feature = features.front();
+    for (int f : features) {
+      const Split split = split_for(w, f);
+      if (split.error < best.error) {
+        best = split;
+        best_feature = f;
+      }
+    }
+    const double eps = std::clamp(best.error, 1e-10, 1.0 - 1e-10);
+    if (eps >= 0.5) continue;
+    const double alpha = 0.5 * std::log((1.0 - eps) / eps);
+    const Stump stump{best_feature, best.threshold, best.polarity, static_cast<float>(alpha)};
+    model.stumps.push_back(stump);
+    double sum_w = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = x[i][static_cast<std::size_t>(stump.feature)];
+      const float h = (v > stump.threshold) ? stump.polarity : -stump.polarity;
+      w[i] *= std::exp(-alpha * static_cast<double>(y[i]) * static_cast<double>(h));
+      sum_w += w[i];
+    }
+    for (auto& wi : w) wi /= sum_w;
+  }
+  return model;
+}
+
+/// Same stumps, byte for byte, and the same RNG state afterwards, at widths
+/// 1 and 4.
+void expect_matches_reference(const std::vector<std::vector<float>>& x,
+                              const std::vector<int>& y, std::uint64_t seed,
+                              const BoostOptions& options) {
+  Rng ref_rng(seed);
+  const BoostedModel want = reference_adaboost(x, y, ref_rng, options);
+  ASSERT_GT(want.stumps.size(), 1u);
+  for (int width : {1, 4}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const common::ScopedThreads threads(width);
+    Rng rng(seed);
+    const BoostedModel got = train_adaboost(x, y, rng, options);
+    ASSERT_EQ(got.stumps.size(), want.stumps.size());
+    EXPECT_EQ(std::memcmp(got.stumps.data(), want.stumps.data(),
+                          want.stumps.size() * sizeof(Stump)),
+              0);
+    const Rng::State a = rng.state(), b = ref_rng.state();
+    EXPECT_EQ(a.words, b.words);
+    EXPECT_EQ(a.have_cached_normal, b.have_cached_normal);
+    EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)), 0);
+  }
+}
+
+TEST(BoostingOracle, HeavilyTiedRandomDataMatchesRowMajorSearch) {
+  // Values drawn from five levels, so most sweep positions sit inside runs of
+  // equal values; labels lean on a few features so the stumps are not noise.
+  // The last three features duplicate the informative ones, so features tie
+  // exactly and the fold's first-strictly-best rule decides.
+  Rng rng(11);
+  std::vector<std::vector<float>> x;
+  std::vector<int> y;
+  for (int i = 0; i < 500; ++i) {
+    std::vector<float> f(48);
+    for (auto& v : f) v = 0.25f * static_cast<float>(rng.uniform_int(0, 4));
+    f[45] = f[5];
+    f[46] = f[17];
+    f[47] = f[30];
+    const bool pos = f[5] + f[17] - f[30] + 0.5f * static_cast<float>(rng.normal()) > 0.6f;
+    x.push_back(std::move(f));
+    y.push_back(pos ? 1 : -1);
+  }
+  expect_matches_reference(x, y, 21, {40, 16});   // A feature subsample per round.
+  expect_matches_reference(x, y, 22, {40, 100});  // More than dim: every feature.
+}
+
+TEST(BoostingOracle, AcfPatchFeaturesMatchRowMajorSearch) {
+  Rng rng(12);
+  TrainingSetOptions options;
+  options.num_positives = 60;
+  options.num_negatives = 120;
+  const TrainingSet set = generate_training_set(rng, options);
+  std::vector<std::vector<float>> x;
+  std::vector<int> y;
+  for (const auto& p : set.positives) {
+    x.push_back(acf_window_features(compute_acf_channels(p), 0, 0));
+    y.push_back(1);
+  }
+  for (const auto& n : set.negatives) {
+    x.push_back(acf_window_features(compute_acf_channels(n), 0, 0));
+    y.push_back(-1);
+  }
+  expect_matches_reference(x, y, 23, BoostOptions{});  // The detector's own 512 rounds.
 }
 
 TEST(Platt, ProbabilityMonotonicInScore) {

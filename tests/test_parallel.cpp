@@ -1,8 +1,8 @@
 // Contract tests for the deterministic task-parallel layer (common/parallel):
 // index coverage, slot ordering, deterministic exception propagation, the
-// nested-use inline rule, per-task RNG streams, and the width knob — plus an
-// end-to-end check that the closed-loop simulation is bit-identical across
-// thread counts.
+// nested-use inline rule, per-task RNG streams, and the width knob — plus
+// end-to-end checks that the set-up and the closed-loop simulation are
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "common/parallel.hpp"
 #include "core/simulation.hpp"
+#include "setup_digest.hpp"
 
 namespace eecs::common {
 namespace {
@@ -183,6 +184,23 @@ TEST(ThreadInvariance, SimulationIsBitIdenticalAcrossWidths) {
   for (std::size_t c = 0; c < serial.battery_residual.size(); ++c) {
     EXPECT_EQ(serial.battery_residual[c], parallel.battery_residual[c]) << "camera " << c;
   }
+}
+
+// Set-up fans out too (AdaBoost stump search, per-item offline build): the
+// bank and knowledge built at width 1 and width 4 must agree at %.17g in
+// every detection on a probe frame, every profile field, and every
+// comparator similarity.
+TEST(ThreadInvariance, SetupIsBitIdenticalAcrossWidths) {
+  const auto setup_at = [](int width) {
+    const ScopedThreads threads(width);
+    const core::DetectorBank bank = detect::make_trained_detectors(1234);
+    return setup_digest::detections(bank) +
+           setup_digest::knowledge(setup_digest::reference_knowledge(bank, 4));
+  };
+  const std::string serial = setup_at(1);
+  const std::string parallel = setup_at(4);
+  EXPECT_NE(serial.find("detection ACF"), std::string::npos);
+  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // but wall-clock), so a metric that diverges between modes fails the same
 // string comparison. A second battery repeats the thread/SIMD/resume checks
 // with the context gate on, proving the pruned sweep (and its evaluated/
-// pruned window accounting) is just as deterministic.
+// pruned window accounting) is just as deterministic. The set-up itself —
+// detector training and the offline knowledge build — is built at width 1
+// and at width N and diffed the same way before any loop runs.
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/simd.hpp"
 #include "core/simulation.hpp"
 #include "obs/telemetry.hpp"
+#include "setup_digest.hpp"
 
 using namespace eecs;
 using namespace eecs::core;
@@ -222,6 +225,22 @@ int check_resume(const DetectorBank& bank, const OfflineKnowledge& knowledge,
   return 1;
 }
 
+/// The detector bank and offline knowledge every leg runs on, built at the
+/// given parallel width, with their %.17g digest.
+struct Setup {
+  DetectorBank bank;
+  OfflineKnowledge knowledge;
+  std::string digest;
+};
+
+Setup build_setup(int threads) {
+  const common::ScopedThreads width(threads);
+  DetectorBank bank = detect::make_trained_detectors(1234);
+  OfflineKnowledge knowledge = setup_digest::reference_knowledge(bank, 4);
+  std::string digest = setup_digest::detections(bank) + setup_digest::knowledge(knowledge);
+  return {std::move(bank), std::move(knowledge), std::move(digest)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,17 +251,30 @@ int main(int argc, char** argv) {
     std::printf("usage: %s (takes no arguments)\n", argv[0]);
     return 2;
   }
-  DetectorBank bank = detect::make_trained_detectors(1234);
-  OfflineOptions opts;
-  opts.algorithms = {detect::AlgorithmId::Hog, detect::AlgorithmId::Acf};
-  opts.frames_per_item = 4;
-  const OfflineKnowledge knowledge = run_offline_training(bank, {1}, 42, opts);
+  const int wide = common::max_threads() > 1 ? common::max_threads() : 4;
+  int rc = 0;
+
+  // Set-up fans out too: the set-up built at width 1 (the exact serial path)
+  // and at width N must agree in every detection on a probe frame, every
+  // profile field and every comparator similarity. The loop legs below run
+  // on the width-1 set-up.
+  const Setup setup = build_setup(1);
+  std::fputs(setup.digest.c_str(), stdout);
+  const std::string setup_wide = build_setup(wide).digest;
+  if (setup_wide == setup.digest) {
+    std::printf("PASS: set-up at threads=1 and threads=%d is bit-identical\n", wide);
+  } else {
+    std::printf("FAIL: set-up at threads=%d diverges from threads=1\n", wide);
+    std::fputs("---- threads=N set-up ----\n", stdout);
+    std::fputs(setup_wide.c_str(), stdout);
+    rc = 1;
+  }
+  const DetectorBank& bank = setup.bank;
+  const OfflineKnowledge& knowledge = setup.knowledge;
 
   const std::string serial = report(bank, knowledge, 1, 1);
   std::fputs(serial.c_str(), stdout);
 
-  int rc = 0;
-  const int wide = common::max_threads() > 1 ? common::max_threads() : 4;
   const std::string parallel = report(bank, knowledge, wide, 1);
   if (parallel == serial) {
     std::printf("PASS: threads=1 and threads=%d reports are bit-identical\n", wide);
