@@ -54,11 +54,12 @@ int main() {
     const auto& r = results[i];
     rows.push_back({combos[i].name, to_fixed(r.detection_rate(), 3),
                     format("%d/%d", r.humans_detected, r.humans_present),
-                    to_fixed(r.total_joules(), 1),
+                    to_fixed(r.total_joules(), 1), to_fixed(r.radio_joules, 3),
                     energy_4hog > 0 ? to_fixed(100.0 * r.total_joules() / energy_4hog, 0) + "%" : "-"});
   }
   std::printf("Fig. 4: accuracy vs energy trade-off, dataset #1 test segment\n%s\n",
-              render_table({"Combo", "Recall (fused)", "Humans", "Energy J", "vs 4HOG"}, rows)
+              render_table({"Combo", "Recall (fused)", "Humans", "Energy J", "Radio J", "vs 4HOG"},
+                           rows)
                   .c_str());
   for (std::size_t i = 0; i < combos.size(); ++i) {
     if (combos[i].name == "2HOG+2ACF" && energy_4hog > 0) {

@@ -111,46 +111,6 @@ std::string threading_probe(const core::DetectorBank& bank,
       speedup);
 }
 
-/// Batched-resize probe: the same shortened adaptive run as the threading
-/// probe at threads=1, with the stage-major BatchPrecompute prewarm on (the
-/// default) vs off (each camera resizes its pyramid on demand inside
-/// detect()). The batch layer only re-orders the resize work across the
-/// round's cameras, so energy and detections must stay bit-identical; the
-/// probe asserts that and reports the wall-clock delta it buys.
-std::string batching_probe(const core::DetectorBank& bank,
-                           const core::OfflineKnowledge& knowledge) {
-  core::EecsSimulationConfig config;
-  config.dataset = 1;
-  config.mode = core::SelectionMode::SubsetDowngrade;
-  config.budget_per_frame = 3.0;
-  config.controller.algorithms = {detect::AlgorithmId::Hog, detect::AlgorithmId::Acf};
-  core::OfflineOptions models;
-  models.algorithms = config.controller.algorithms;
-  config.models = models;
-  config.end_frame = 1700;
-  config.threads = 1;
-
-  config.batch_precompute = false;
-  const auto per_camera = core::run_eecs_simulation(bank, knowledge, config);
-  config.batch_precompute = true;
-  const auto batched = core::run_eecs_simulation(bank, knowledge, config);
-  const bool identical = per_camera.total_joules() == batched.total_joules() &&
-                         per_camera.humans_detected == batched.humans_detected;
-  const double speedup = batched.timings.total() > 0.0
-                             ? per_camera.timings.total() / batched.timings.total()
-                             : 0.0;
-  std::printf("batching probe (frames %d..%d, threads=1):\n", config.start_frame,
-              config.end_frame);
-  std::printf("  per-camera: %s\n", json_timings(per_camera.timings).c_str());
-  std::printf("  batched:    %s\n", json_timings(batched.timings).c_str());
-  std::printf("  result bit-identical: %s, speedup: %.2fx\n\n", identical ? "yes" : "NO",
-              speedup);
-  return format(
-      "{\"bit_identical\": %s, \"per_camera\": %s, \"batched\": %s, \"speedup\": %.3f}",
-      identical ? "true" : "false", json_timings(per_camera.timings).c_str(),
-      json_timings(batched.timings).c_str(), speedup);
-}
-
 /// Context-gate probe: the Fig. 5a baseline (AllBest, budget 3.0) gate-off vs
 /// gate-on. The gate prunes (scale, row band) tiles the ground-plane
 /// calibration rules out, so gate-on must evaluate strictly fewer windows and
@@ -313,7 +273,6 @@ int main() {
              entries, /*context_gate=*/true);
 
   const std::string probe = threading_probe(bank, knowledge);
-  const std::string batching = batching_probe(bank, knowledge);
   const std::string context_gate = context_gate_probe(bank, knowledge);
   const std::string durability = durability_probe(bank, knowledge, entries);
 
@@ -328,7 +287,7 @@ int main() {
         e.humans_detected, e.windows_evaluated_fraction, json_timings(e.timings).c_str());
   }
   json += "\n  ],\n  \"context\": {" + json_build_context() + "},\n  \"threading_probe\": " + probe +
-          ",\n  \"batching_probe\": " + batching + ",\n  \"context_gate_probe\": " + context_gate +
+          ",\n  \"context_gate_probe\": " + context_gate +
           ",\n  \"durability_probe\": " + durability + "\n}";
   write_bench_json("BENCH_fig5_eecs_dataset1.json", json);
 

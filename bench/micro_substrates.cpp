@@ -13,7 +13,6 @@
 #include "common/simd.hpp"
 #include "imaging/filter.hpp"
 #include "core/offline.hpp"
-#include "detect/batch_precompute.hpp"
 #include "detect/block_grid.hpp"
 #include "detect/detector.hpp"
 #include "detect/frame_cache.hpp"
@@ -174,47 +173,14 @@ void BM_AssessmentSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_AssessmentSweep)->Arg(0)->Arg(1)->Arg(2);
 
-// The multi-camera round fan-out: all four algorithms on every camera view.
-// per-camera = each camera's FramePrecompute resizes its pyramid on demand
-// inside detect() (the pre-batching behaviour, config.batch_precompute =
-// false); batched = BatchPrecompute gathers every (camera, scale) target and
-// runs one shared-ResizePlan pass per dimension before detection (the
-// default). Detections and energy are bit-identical either way — the batch
-// layer only re-orders the resize work — so this isolates the amortization
-// win. Single threaded so the submission strategy is the only variable.
-void BM_BatchedSweep(benchmark::State& state) {
-  const common::ScopedThreads width(1);
-  const core::DetectorBank& detectors = bank();
-  static const std::vector<imaging::Image> frames = [] {
-    video::SceneSimulator sim(video::dataset1_lab(), 9);
-    std::vector<imaging::Image> views;
-    for (int c = 0; c < 4; ++c) views.push_back(sim.next_frame_single(c));
-    return views;
-  }();
-  const bool batched = state.range(0) != 0;
-  for (auto _ : state) {
-    detect::BatchPrecompute batch(frames.size());
-    for (std::size_t c = 0; c < frames.size(); ++c) {
-      for (const auto& detector : detectors) batch.plan(c, frames[c], *detector);
-    }
-    if (batched) batch.prewarm();
-    for (std::size_t c = 0; c < frames.size(); ++c) {
-      for (const auto& detector : detectors) {
-        benchmark::DoNotOptimize(detector->detect(batch.at(c)));
-      }
-    }
-  }
-  state.SetLabel(batched ? "batched" : "per-camera");
-}
-BENCHMARK(BM_BatchedSweep)->Arg(0)->Arg(1);
-
-// The scheduler-owned work-list on the same 4-camera fan-out: on-demand =
-// plan() only (each slot computes resize + substrates lazily inside
-// detect()); stage-major = prewarm() drains the work-list rung-major, so
-// same-shape resizes AND feature substrates (block grids, channel maps,
-// census grids) of all cameras run back to back. Bit-identical results; this
-// measures what the cross-frame substrate batching buys over and above the
-// resize-only BatchPrecompute amortization of BM_BatchedSweep.
+// The multi-camera round fan-out: all four algorithms on every camera view,
+// through the scheduler-owned work-list. on-demand = plan() only (each slot
+// computes resize + substrates lazily inside detect()); stage-major =
+// prewarm() drains the work-list rung-major, so same-shape resizes AND
+// feature substrates (block grids, channel maps, census grids) of all
+// cameras run back to back. Bit-identical results; this measures what the
+// cross-camera stage-major ordering buys. Single threaded so the submission
+// strategy is the only variable.
 void BM_WorkListSweep(benchmark::State& state) {
   const common::ScopedThreads width(1);
   const core::DetectorBank& detectors = bank();

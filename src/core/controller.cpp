@@ -62,16 +62,6 @@ const AlgorithmProfile* EecsController::entry(int camera, detect::AlgorithmId id
   return nullptr;
 }
 
-const AlgorithmProfile* EecsController::cheapest_entry(int camera) const {
-  const auto it = cameras_.find(camera);
-  if (it == cameras_.end() || it->second.affordable.empty()) return nullptr;
-  const AlgorithmProfile* cheapest = &it->second.affordable.front();
-  for (const auto& p : it->second.affordable) {
-    if (p.total_joules_per_frame() < cheapest->total_joules_per_frame()) cheapest = &p;
-  }
-  return cheapest;
-}
-
 EecsController::Estimate EecsController::estimate_config(
     const AssessmentData& assessment, const std::map<int, detect::AlgorithmId>& config) const {
   // Number of assessment frames: take from any present sample.

@@ -91,11 +91,6 @@ class EecsController {
   /// Affordable profile entry for a specific algorithm (nullptr otherwise).
   [[nodiscard]] const AlgorithmProfile* entry(int camera, detect::AlgorithmId id) const;
 
-  /// The cheapest affordable algorithm entry for a camera (lowest
-  /// c(A) + C_j); nullptr if nothing fits its budget. The degradation
-  /// ladder's CheapAlgorithm rung runs this instead of the assignment.
-  [[nodiscard]] const AlgorithmProfile* cheapest_entry(int camera) const;
-
   /// §IV-B.3/4 + §IV-C: full selection from assessment-phase metadata.
   /// `eligible`, when non-null, restricts the selection to that camera subset
   /// (the liveness tracker's surviving cameras); nullptr considers every

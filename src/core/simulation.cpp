@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
@@ -39,35 +41,65 @@ void trace_instant(const char* name, const char* cat, double sim_time,
   }
 }
 
-/// Registry substrate of the SimulationResult façades. The loop's semantic
-/// counters and stage gauges live in the current obs session; FaultCounters
-/// and StageTimings are computed as registry deltas over the run at a single
-/// assignment point (finalize), so multiple runs sharing one session (the
-/// report/determinism tools) each see only their own activity. Functional
-/// under EECS_OBS_OFF too — the façades keep their semantics either way.
+/// The FaultCounters field list: each field's registry counter and member,
+/// in the order of a snapshot's "counters" section. That order is a wire
+/// format and append-only: new fields go at the end so snapshots from older
+/// builds (shorter vectors) still resume.
+template <typename Fn>
+void for_each_fault_field(Fn&& fn) {
+  fn("net.messages.sent", &FaultCounters::messages_sent);
+  fn("net.messages.lost", &FaultCounters::messages_lost);
+  fn("protocol.assignments.retried", &FaultCounters::assignments_retried);
+  fn("protocol.assignments.abandoned", &FaultCounters::assignments_abandoned);
+  fn("protocol.registrations.lost", &FaultCounters::registrations_lost);
+  fn("protocol.decode_errors", &FaultCounters::decode_errors);
+  fn("liveness.cameras.failed", &FaultCounters::cameras_failed);
+  fn("liveness.cameras.recovered", &FaultCounters::cameras_recovered);
+  fn("liveness.midround_reselections", &FaultCounters::midround_reselections);
+  fn("battery.frames_skipped", &FaultCounters::frames_skipped_exhausted);
+  fn("protocol.assignments.pushed", &FaultCounters::assignments_pushed);
+  fn("protocol.assignments.acked", &FaultCounters::assignments_acked);
+  fn("protocol.acks.late", &FaultCounters::acks_late);
+  fn("protocol.assignments.dropped", &FaultCounters::assignments_dropped);
+  fn("protocol.assignments.replaced", &FaultCounters::assignments_replaced);
+  fn("protocol.assignments.pending_at_exit", &FaultCounters::assignments_pending_at_exit);
+  fn("runtime.deadline.misses", &FaultCounters::deadline_misses);
+  fn("runtime.degradation.stepdowns", &FaultCounters::degradation_stepdowns);
+  fn("runtime.degradation.stepups", &FaultCounters::degradation_stepups);
+  fn("battery.frames_parked", &FaultCounters::frames_parked);
+}
+
+std::vector<std::int64_t> pack_fault_counters(const FaultCounters& f) {
+  std::vector<std::int64_t> out;
+  for_each_fault_field([&](const char*, auto member) { out.push_back(f.*member); });
+  return out;
+}
+
+FaultCounters unpack_fault_counters(const std::vector<std::int64_t>& v) {
+  FaultCounters f;
+  std::size_t i = 0;
+  for_each_fault_field([&](const char*, auto member) {
+    using Field = std::remove_reference_t<decltype(f.*member)>;
+    if (i < v.size()) f.*member = static_cast<Field>(v[i]);
+    ++i;
+  });
+  return f;
+}
+
+void add_fault_counters(FaultCounters& dst, const FaultCounters& src) {
+  for_each_fault_field([&](const char*, auto member) { dst.*member += src.*member; });
+}
+
+/// Registry side of the SimulationResult façades. A run counts its
+/// FaultCounters itself and publishes them to their named counters in the
+/// current obs session at finalize(); StageTimings are the deltas of the
+/// `stage.*_s` wall-clock gauges (fed by ScopedSpan) over the run. Runs that
+/// share one session (the report/determinism tools) each see only their own
+/// activity. Functional under EECS_OBS_OFF too — the façades keep their
+/// semantics either way.
 struct SimTelemetry {
   explicit SimTelemetry(obs::MetricsRegistry& metrics)
-      : messages_sent(metrics.counter("net.messages.sent")),
-        messages_lost(metrics.counter("net.messages.lost")),
-        assignments_retried(metrics.counter("protocol.assignments.retried")),
-        assignments_abandoned(metrics.counter("protocol.assignments.abandoned")),
-        registrations_lost(metrics.counter("protocol.registrations.lost")),
-        decode_errors(metrics.counter("protocol.decode_errors")),
-        cameras_failed(metrics.counter("liveness.cameras.failed")),
-        cameras_recovered(metrics.counter("liveness.cameras.recovered")),
-        midround_reselections(metrics.counter("liveness.midround_reselections")),
-        frames_skipped(metrics.counter("battery.frames_skipped")),
-        assignments_pushed(metrics.counter("protocol.assignments.pushed")),
-        assignments_acked(metrics.counter("protocol.assignments.acked")),
-        acks_late(metrics.counter("protocol.acks.late")),
-        assignments_dropped(metrics.counter("protocol.assignments.dropped")),
-        assignments_replaced(metrics.counter("protocol.assignments.replaced")),
-        assignments_pending(metrics.counter("protocol.assignments.pending_at_exit")),
-        deadline_misses(metrics.counter("runtime.deadline.misses")),
-        degradation_stepdowns(metrics.counter("runtime.degradation.stepdowns")),
-        degradation_stepups(metrics.counter("runtime.degradation.stepups")),
-        frames_parked(metrics.counter("battery.frames_parked")),
-        windows_evaluated(metrics.counter("detect.windows.evaluated")),
+      : windows_evaluated(metrics.counter("detect.windows.evaluated")),
         windows_pruned(metrics.counter("detect.windows.pruned")),
         debit_joules(metrics.histogram("energy.debit_joules",
                                        {0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0})),
@@ -76,54 +108,20 @@ struct SimTelemetry {
         features_s(metrics.gauge("stage.features_s", obs::Determinism::WallClock)),
         controller_s(metrics.gauge("stage.controller_s", obs::Determinism::WallClock)),
         net_s(metrics.gauge("stage.net_s", obs::Determinism::WallClock)) {
-    base_counters_ = {messages_sent.value(),       messages_lost.value(),
-                      assignments_retried.value(), assignments_abandoned.value(),
-                      registrations_lost.value(),  decode_errors.value(),
-                      cameras_failed.value(),      cameras_recovered.value(),
-                      midround_reselections.value(), frames_skipped.value(),
-                      assignments_pushed.value(),  assignments_acked.value(),
-                      acks_late.value(),           assignments_dropped.value(),
-                      assignments_replaced.value(), assignments_pending.value(),
-                      deadline_misses.value(),     degradation_stepdowns.value(),
-                      degradation_stepups.value(), frames_parked.value()};
+    for_each_fault_field(
+        [&](const char* metric, auto) { fault_counters_.push_back(&metrics.counter(metric)); });
     base_gauges_ = {render_s.value(), detect_s.value(), features_s.value(),
                     controller_s.value(), net_s.value()};
   }
 
-  /// Registry deltas over this run so far; used by finalize() and by the
-  /// checkpoint capture (a snapshot stores the deltas at the checkpoint
-  /// instant, and a resumed run adds them back after its own finalize()).
-  [[nodiscard]] FaultCounters fault_deltas() const {
-    const auto d = [](const obs::Counter& c, std::uint64_t base) {
-      return static_cast<long>(c.value() - base);
-    };
-    FaultCounters f;
-    f.messages_sent = d(messages_sent, base_counters_[0]);
-    f.messages_lost = d(messages_lost, base_counters_[1]);
-    f.assignments_retried = d(assignments_retried, base_counters_[2]);
-    f.assignments_abandoned = d(assignments_abandoned, base_counters_[3]);
-    f.registrations_lost = d(registrations_lost, base_counters_[4]);
-    f.decode_errors = d(decode_errors, base_counters_[5]);
-    f.cameras_failed = static_cast<int>(d(cameras_failed, base_counters_[6]));
-    f.cameras_recovered = static_cast<int>(d(cameras_recovered, base_counters_[7]));
-    f.midround_reselections = static_cast<int>(d(midround_reselections, base_counters_[8]));
-    f.frames_skipped_exhausted = d(frames_skipped, base_counters_[9]);
-    f.assignments_pushed = d(assignments_pushed, base_counters_[10]);
-    f.assignments_acked = d(assignments_acked, base_counters_[11]);
-    f.acks_late = d(acks_late, base_counters_[12]);
-    f.assignments_dropped = d(assignments_dropped, base_counters_[13]);
-    f.assignments_replaced = d(assignments_replaced, base_counters_[14]);
-    f.assignments_pending_at_exit = d(assignments_pending, base_counters_[15]);
-    f.deadline_misses = d(deadline_misses, base_counters_[16]);
-    f.degradation_stepdowns = d(degradation_stepdowns, base_counters_[17]);
-    f.degradation_stepups = d(degradation_stepups, base_counters_[18]);
-    f.frames_parked = d(frames_parked, base_counters_[19]);
-    return f;
-  }
-
-  /// The single assignment point of the FaultCounters/StageTimings views.
-  void finalize(SimulationResult& result) const {
-    result.faults = fault_deltas();
+  /// The single assignment point of the FaultCounters/StageTimings views:
+  /// publishes the run's fault counts to the registry.
+  void finalize(const FaultCounters& faults, SimulationResult& result) {
+    std::size_t i = 0;
+    for_each_fault_field([&](const char*, auto member) {
+      fault_counters_[i++]->inc(static_cast<std::uint64_t>(faults.*member));
+    });
+    result.faults = faults;
     result.timings.render_s = render_s.value() - base_gauges_[0];
     result.timings.detect_s = detect_s.value() - base_gauges_[1];
     result.timings.features_s = features_s.value() - base_gauges_[2];
@@ -131,26 +129,6 @@ struct SimTelemetry {
     result.timings.net_s = net_s.value() - base_gauges_[4];
   }
 
-  obs::Counter& messages_sent;
-  obs::Counter& messages_lost;
-  obs::Counter& assignments_retried;
-  obs::Counter& assignments_abandoned;
-  obs::Counter& registrations_lost;
-  obs::Counter& decode_errors;
-  obs::Counter& cameras_failed;
-  obs::Counter& cameras_recovered;
-  obs::Counter& midround_reselections;
-  obs::Counter& frames_skipped;
-  obs::Counter& assignments_pushed;
-  obs::Counter& assignments_acked;
-  obs::Counter& acks_late;
-  obs::Counter& assignments_dropped;
-  obs::Counter& assignments_replaced;
-  obs::Counter& assignments_pending;
-  obs::Counter& deadline_misses;
-  obs::Counter& degradation_stepdowns;
-  obs::Counter& degradation_stepups;
-  obs::Counter& frames_parked;
   /// Sliding-window work accounting (not a FaultCounters field: the result
   /// accumulates these directly from FrameOutcomes, the counters are
   /// session-wide telemetry).
@@ -166,86 +144,9 @@ struct SimTelemetry {
   obs::Gauge& net_s;
 
  private:
-  std::array<std::uint64_t, 20> base_counters_{};
+  std::vector<obs::Counter*> fault_counters_;  ///< In for_each_fault_field order.
   std::array<double, 5> base_gauges_{};
 };
-
-/// Fixed serialization order of the FaultCounters fields inside a snapshot's
-/// "counters" section. Append-only: new fields go at the end so snapshots
-/// from older builds (shorter vectors) still resume.
-std::vector<std::int64_t> pack_fault_counters(const FaultCounters& f) {
-  return {f.messages_sent,
-          f.messages_lost,
-          f.assignments_retried,
-          f.assignments_abandoned,
-          f.registrations_lost,
-          f.decode_errors,
-          f.cameras_failed,
-          f.cameras_recovered,
-          f.midround_reselections,
-          f.frames_skipped_exhausted,
-          f.assignments_pushed,
-          f.assignments_acked,
-          f.acks_late,
-          f.assignments_dropped,
-          f.assignments_replaced,
-          f.assignments_pending_at_exit,
-          f.deadline_misses,
-          f.degradation_stepdowns,
-          f.degradation_stepups,
-          f.frames_parked};
-}
-
-FaultCounters unpack_fault_counters(const std::vector<std::int64_t>& v) {
-  FaultCounters f;
-  const auto get = [&](std::size_t i) -> long {
-    return i < v.size() ? static_cast<long>(v[i]) : 0;
-  };
-  f.messages_sent = get(0);
-  f.messages_lost = get(1);
-  f.assignments_retried = get(2);
-  f.assignments_abandoned = get(3);
-  f.registrations_lost = get(4);
-  f.decode_errors = get(5);
-  f.cameras_failed = static_cast<int>(get(6));
-  f.cameras_recovered = static_cast<int>(get(7));
-  f.midround_reselections = static_cast<int>(get(8));
-  f.frames_skipped_exhausted = get(9);
-  f.assignments_pushed = get(10);
-  f.assignments_acked = get(11);
-  f.acks_late = get(12);
-  f.assignments_dropped = get(13);
-  f.assignments_replaced = get(14);
-  f.assignments_pending_at_exit = get(15);
-  f.deadline_misses = get(16);
-  f.degradation_stepdowns = get(17);
-  f.degradation_stepups = get(18);
-  f.frames_parked = get(19);
-  return f;
-}
-
-void add_fault_counters(FaultCounters& dst, const FaultCounters& src) {
-  dst.messages_sent += src.messages_sent;
-  dst.messages_lost += src.messages_lost;
-  dst.assignments_retried += src.assignments_retried;
-  dst.assignments_abandoned += src.assignments_abandoned;
-  dst.registrations_lost += src.registrations_lost;
-  dst.decode_errors += src.decode_errors;
-  dst.cameras_failed += src.cameras_failed;
-  dst.cameras_recovered += src.cameras_recovered;
-  dst.midround_reselections += src.midround_reselections;
-  dst.frames_skipped_exhausted += src.frames_skipped_exhausted;
-  dst.assignments_pushed += src.assignments_pushed;
-  dst.assignments_acked += src.assignments_acked;
-  dst.acks_late += src.acks_late;
-  dst.assignments_dropped += src.assignments_dropped;
-  dst.assignments_replaced += src.assignments_replaced;
-  dst.assignments_pending_at_exit += src.assignments_pending_at_exit;
-  dst.deadline_misses += src.deadline_misses;
-  dst.degradation_stepdowns += src.degradation_stepdowns;
-  dst.degradation_stepups += src.degradation_stepups;
-  dst.frames_parked += src.frames_parked;
-}
 
 /// O(1) algorithm -> detector resolution, hoisted out of the frame loops
 /// (the bank scan used to run once per (frame, camera, algorithm)).
@@ -275,12 +176,12 @@ const TrainingItemProfile* find_profile(const OfflineKnowledge& knowledge, int d
   return nullptr;
 }
 
-/// One camera's processing of one frame during operation: detect, extract
-/// color features, upload metadata + JPEG crops, and account energy. Pure
-/// compute on const inputs — safe to fan out per camera. Detections and their
-/// color features stay in parallel arrays so detect::Detection is never
-/// copied through reid::ViewDetection and back (matching consumes
-/// `detections` directly; assessment moves both into ViewDetections once).
+/// One camera's processing of one frame: detect, extract color features,
+/// size the metadata + JPEG crop upload, and count CPU energy. Pure compute
+/// on const inputs — safe to fan out per camera. Detections and their color
+/// features stay in parallel arrays so detect::Detection is never copied
+/// through reid::ViewDetection and back (matching consumes `detections`
+/// directly; assessment moves both into ViewDetections once).
 struct FrameOutcome {
   std::vector<detect::Detection> detections;         ///< Thresholded, score order.
   std::vector<std::vector<float>> color_features;    ///< Aligned with detections.
@@ -290,9 +191,8 @@ struct FrameOutcome {
   std::uint64_t windows_pruned = 0;     ///< ... skipped by the context gate.
 };
 
-FrameOutcome process_camera_frame(const detect::Detector& detector, double threshold, int camera,
+FrameOutcome process_camera_frame(const detect::Detector& detector, double threshold,
                                   detect::FramePrecompute& pre, const OfflineOptions& models) {
-  (void)camera;
   FrameOutcome outcome;
   energy::CostCounter cost;
   auto raw = detector.detect(pre, &cost);
@@ -361,16 +261,1258 @@ net::DetectionMetadataMsg make_metadata_msg(int camera, int frame_index,
   return msg;
 }
 
+/// One detector run of a sweep slot.
+struct SlotRun {
+  detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
+  double threshold = 0.0;
+};
+
+/// A slot of a sweep step: one camera's view and the runs made over its
+/// shared cache, in order. A slot without runs is left unplanned.
+struct SweepSlot {
+  int camera = 0;
+  std::vector<SlotRun> runs;
+};
+
+/// Human accounting of one operation frame, shared by both runners: the
+/// countable persons present in any view, and those matched by detections
+/// that reached the controller.
+class HumanTally {
+ public:
+  explicit HumanTally(const video::MultiViewFrame& frame) : frame_(frame) {
+    for (const auto& truth : frame.truth) {
+      for (int id : countable_ids(truth)) present_.insert(id);
+    }
+  }
+
+  void match(int camera, const std::vector<detect::Detection>& detections) {
+    const MatchResult match =
+        match_detections(detections, frame_.truth[static_cast<std::size_t>(camera)]);
+    for (int id : match.matched_person_ids) detected_.insert(id);
+  }
+
+  /// Fold the frame into the result. Only persons actually present count (a
+  /// matched ignore-region person cannot occur since matching skips them).
+  void close(SimulationResult& result) const {
+    result.humans_present += static_cast<int>(present_.size());
+    for (int id : detected_) {
+      if (present_.count(id) > 0) ++result.humans_detected;
+    }
+  }
+
+ private:
+  const video::MultiViewFrame& frame_;
+  std::set<int> present_;
+  std::set<int> detected_;
+};
+
+/// What both runners share: the scoped execution knobs, the scene, the
+/// camera batteries, the result with its telemetry and energy ledger, and
+/// the one camera-frame step — sweep, debit, human tally — every frame goes
+/// through.
+class FrameRunner {
+ protected:
+  /// `Config` is EecsSimulationConfig or FixedComboConfig (same field names).
+  template <typename Config>
+  FrameRunner(const DetectorBank& detectors, const Config& config)
+      : scoped_threads_(config.threads),
+        scoped_simd_(config.simd),
+        detector_of_(detectors),
+        models_(config.models),
+        // Resolved once per run (config knob, EECS_CONTEXT_GATE override). The
+        // loop drives the recovery cadence by rounds_completed, which the
+        // checkpoint restores, so gating resumes bit-exactly.
+        gate_opts_(detect::resolve_context_gate(config.context_gate)),
+        sim_(video::dataset_by_id(config.dataset), config.seed),
+        stride_(sim_.environment().ground_truth_stride * config.gt_frame_step),
+        num_cameras_(static_cast<int>(sim_.cameras().size())),
+        st_(obs::current().metrics()),
+        ledger_(obs::current().ledger()),
+        batteries_(static_cast<std::size_t>(num_cameras_), energy::Battery(config.battery_joules)),
+        cpu_gauges_(static_cast<std::size_t>(num_cameras_), nullptr) {
+    // Dispatch mode is a build/run-environment fact, not a run result:
+    // WallClock so determinism snapshots (which diff SIMD-on vs SIMD-off
+    // runs) skip it.
+    obs::current()
+        .metrics()
+        .gauge("simd.dispatch.native", obs::Determinism::WallClock)
+        .set(simd::enabled() && simd::kNativeBackend ? 1.0 : 0.0);
+    // Energy audit ledger: every joule debited is attributed to a (camera,
+    // round, stage, algorithm, cause) key, with running totals that
+    // accumulate the exact same doubles in the same order as the result
+    // accumulators and battery mirrors replaying every drain — so
+    // conservation against the returned result is bit-exact (see
+    // obs/ledger.hpp).
+    ledger_.begin_run(std::vector<double>(static_cast<std::size_t>(num_cameras_),
+                                          config.battery_joules));
+  }
+
+  energy::Battery& battery(int camera) { return batteries_[static_cast<std::size_t>(camera)]; }
+
+  video::MultiViewFrame next_frame() {
+    const obs::ScopedSpan span("stage.render", "stage", st_.render_s, sim_.frame_index());
+    return sim_.next_frame();
+  }
+
+  /// The sweep step: plan every slot's tiles (the context gate prunes them
+  /// when it engages at `round_phase`), prewarm the work-list stage-major,
+  /// fan `process_camera_frame` out one task per slot — a slot's runs share
+  /// one FramePrecompute, so several algorithms on one camera compute common
+  /// substrates once — then fold the window accounting serially in slot order
+  /// and trace the batch. Outcomes are indexed [slot][run].
+  std::vector<std::vector<FrameOutcome>> sweep(const video::MultiViewFrame& frame,
+                                               const std::vector<SweepSlot>& slots,
+                                               std::uint64_t round_phase, bool assessment) {
+    std::vector<std::vector<FrameOutcome>> outcomes;
+    {
+      const obs::ScopedSpan span("stage.detect", "stage", st_.detect_s, frame.index);
+      detect::SweepScheduler batch(slots.size(), gate_opts_, round_phase);
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const auto c = static_cast<std::size_t>(slots[i].camera);
+        for (const SlotRun& run : slots[i].runs) {
+          batch.plan(i, frame.views[c], detector_of_(run.algorithm), &sim_.cameras()[c]);
+        }
+      }
+      batch.prewarm();
+      outcomes = common::parallel_map<std::vector<FrameOutcome>>(slots.size(), [&](std::size_t i) {
+        std::vector<FrameOutcome> out;
+        if (slots[i].runs.empty()) return out;
+        detect::FramePrecompute& pre = batch.at(i);
+        out.reserve(slots[i].runs.size());
+        for (const SlotRun& run : slots[i].runs) {
+          out.push_back(
+              process_camera_frame(detector_of_(run.algorithm), run.threshold, pre, models_));
+        }
+        return out;
+      });
+    }
+    double cameras = 0.0;
+    for (const auto& slot_outcomes : outcomes) {
+      cameras += slot_outcomes.empty() ? 0.0 : 1.0;
+      for (const FrameOutcome& outcome : slot_outcomes) {
+        result_.windows_evaluated += outcome.windows_evaluated;
+        result_.windows_pruned += outcome.windows_pruned;
+        st_.windows_evaluated.inc(outcome.windows_evaluated);
+        st_.windows_pruned.inc(outcome.windows_pruned);
+      }
+    }
+    trace_instant("detect.batch", "detect", frame.index,
+                  {{"cameras", cameras},
+                   {"assessment", assessment ? 1.0 : 0.0},
+                   {"windows_evaluated", static_cast<double>(result_.windows_evaluated)},
+                   {"windows_pruned", static_cast<double>(result_.windows_pruned)}});
+    return outcomes;
+  }
+
+  /// Radio joules of one send, into the result and the ledger.
+  void charge_radio(int camera, obs::EnergyStage stage, int algorithm, obs::EnergyCause cause,
+                    double joules) {
+    result_.radio_joules += joules;
+    ledger_.debit_radio(camera, stage, algorithm, cause, joules);
+  }
+
+  /// The camera debit: CPU joules into the result, the ledger and the
+  /// camera's CPU gauge, then `drain_joules` (the CPU plus the step's radio
+  /// charges) out of the battery, the ledger's mirror of it and the debit
+  /// histogram.
+  void debit(int camera, obs::EnergyStage stage, int algorithm, obs::EnergyCause cause,
+             double cpu_joules, double drain_joules) {
+    result_.cpu_joules += cpu_joules;
+    ledger_.debit_cpu(camera, stage, algorithm, cause, cpu_joules);
+    if (obs::Gauge* gauge = cpu_gauges_[static_cast<std::size_t>(camera)]) gauge->add(cpu_joules);
+    battery(camera).drain(drain_joules);
+    ledger_.drain(camera, drain_joules);
+    st_.debit_joules.observe(drain_joules);
+  }
+
+  /// Debit one processed operation frame: the detect CPU, and as one radio
+  /// charge the uplink — the metadata message's `tx_joules` plus the JPEG
+  /// crops at `joules_per_byte`. The drain sums (cpu + tx) + crop.
+  void debit_frame(int camera, detect::AlgorithmId algorithm, const FrameOutcome& outcome,
+                   double tx_joules, int frame_index) {
+    const double crop_joules =
+        models_.radio_model.joules_per_byte * static_cast<double>(outcome.comm_bytes);
+    const double drain = outcome.cpu_joules + tx_joules + crop_joules;
+    const int alg = static_cast<int>(algorithm);
+    debit(camera, obs::EnergyStage::Operation, alg, obs::EnergyCause::Detect, outcome.cpu_joules,
+          drain);
+    charge_radio(camera, obs::EnergyStage::Operation, alg, obs::EnergyCause::Tx,
+                 tx_joules + crop_joules);
+    trace_instant("battery.debit", "energy", frame_index,
+                  {{"camera", static_cast<double>(camera)},
+                   {"joules", drain},
+                   {"residual", battery(camera).residual()}});
+  }
+
+  /// Close the run: publish this run's fault counters, report them plus
+  /// `carried` (the counts a resumed run's snapshot brought along), and the
+  /// battery residuals.
+  SimulationResult finish(const FaultCounters& carried = {}) {
+    st_.finalize(faults_, result_);
+    add_fault_counters(result_.faults, carried);
+    result_.battery_residual.reserve(batteries_.size());
+    for (const auto& b : batteries_) result_.battery_residual.push_back(b.residual());
+    return std::move(result_);
+  }
+
+  const common::ScopedThreads scoped_threads_;
+  const simd::ScopedSimd scoped_simd_;
+  const DetectorLookup detector_of_;
+  const OfflineOptions& models_;
+  const detect::ContextGateOptions gate_opts_;
+  video::SceneSimulator sim_;
+  const int stride_;
+  const int num_cameras_;
+  SimulationResult result_;
+  FaultCounters faults_;  ///< This run's counts; published by finish().
+  SimTelemetry st_;
+  obs::EnergyLedger& ledger_;
+  std::vector<energy::Battery> batteries_;
+  /// Per-camera CPU joules, accumulated at the serial debit points; null
+  /// entries (the fixed combo) skip the gauge.
+  std::vector<obs::Gauge*> cpu_gauges_;
+};
+
 /// What the camera device itself knows. Assignments are applied only when the
 /// controller's message is actually delivered; the last-known-good one
 /// survives lost updates and crash/reboot cycles (kept in flash).
 struct CameraNode {
-  energy::Battery battery;
   bool has_assignment = false;
   bool active = false;
   detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
   double threshold = 0.0;
   std::uint32_t applied_sequence = 0;
+};
+
+/// The closed EECS loop (§IV-B, §VI-E): registration, then recalibration
+/// rounds of assessment window → round close (watchdog, ladder, selection)
+/// → operation window → observability close (anomaly detector, flight
+/// recorder) → round boundary (checkpoint, simulated-crash stop). A resumed
+/// run restores the loop state from a snapshot instead of registering.
+class RoundEngine : FrameRunner {
+ public:
+  RoundEngine(const DetectorBank& detectors, const OfflineKnowledge& knowledge,
+              const EecsSimulationConfig& config);
+
+  SimulationResult run();
+
+ private:
+  // Network: node 0 is the controller; nodes 1..M the cameras. The network
+  // clock is driven with the video frame index (one frame = one clock unit).
+  static int node_of(int camera) { return camera + 1; }
+  static int camera_of(int node) { return node - 1; }
+
+  EecsController make_controller();
+  [[nodiscard]] std::vector<std::optional<SlotRun>> make_fallback() const;
+
+  // ---- Phases.
+  void register_cameras();
+  bool run_round();
+  void begin_round();
+  void assessment_frame(const video::MultiViewFrame& frame, int slot);
+  void close_assessment();
+  void step_ladder();
+  void operation_frame();
+  void record_round();
+  bool end_round();
+
+  // ---- Controller <-> camera protocol.
+  void mark_heard(int camera, double time);
+  [[nodiscard]] std::set<int> eligible_set() const;
+  void handle_controller_delivery(const net::Network::Delivery& d);
+  void handle_camera_delivery(int camera, const net::Network::Delivery& d);
+  void pump_network(double until);
+  void send_heartbeat(int c, obs::EnergyStage stage);
+  void push_assignments(const std::vector<CameraAssignment>& assignments);
+  EecsController::Selection select(bool midround, double span_time);
+  void retry_assignments();
+  void check_liveness();
+  [[nodiscard]] bool camera_down(int c) const;
+
+  // ---- Checkpoint capture and resume.
+  [[nodiscard]] runtime::SimulationCheckpoint::ConfigGuard config_guard() const;
+  [[nodiscard]] runtime::SimulationCheckpoint capture_checkpoint() const;
+  void resume();
+
+  const OfflineKnowledge& knowledge_;
+  const EecsSimulationConfig& config_;
+  net::Network network_;
+  std::vector<CameraNode> cameras_;
+  obs::AnomalyDetector anomaly_detector_;
+  const bool flight_enabled_;
+  obs::FlightRecorder flight_;
+  std::array<obs::Counter*, obs::kNumAnomalyKinds> anomaly_counters_{};
+  EecsController controller_;
+  // Controller-side protocol state (runtime layer).
+  runtime::LivenessTracker liveness_;
+  runtime::AssignmentRetryQueue retry_queue_;
+  runtime::RoundWatchdog watchdog_;
+  runtime::DegradationLadder ladder_;
+  /// Camera-flash fallback for the ladder's CheapAlgorithm/SkipFrames rungs:
+  /// the cheapest allowed in-budget profile of the camera's own feed (the
+  /// profile data ships with the camera firmware, so no wire traffic is
+  /// needed to degrade). Filled only when the ladder can engage.
+  std::vector<std::optional<SlotRun>> fallback_;
+  std::set<int> controller_active_;
+  std::uint32_t next_sequence_ = 0;
+  long rounds_completed_ = 0;
+  AssessmentData assessment_;
+  /// Assessment samples in flight: (camera, frame, algorithm) -> (window
+  /// slot, full-fidelity detections). The wire carries the §V-A-sized
+  /// payload for loss accounting; the simulator hands the lossless sample to
+  /// the controller when (and only when) that payload is actually delivered.
+  struct InFlightSample {
+    int slot = 0;
+    std::vector<reid::ViewDetection> detections;
+  };
+  std::map<std::tuple<int, int, int>, InFlightSample> in_flight_;
+  /// Fault counts of the run segments before the snapshot this run resumed
+  /// from (zero for a fresh run).
+  FaultCounters resumed_faults_{};
+
+  /// Per-round state: message and energy bases taken at the top of the round
+  /// (so the round close sees this round's deltas), the watchdog's misses,
+  /// whether the ladder descended, and the round's selection.
+  struct Round {
+    long sent_base = 0;
+    long lost_base = 0;
+    double cpu_base = 0.0;
+    double radio_base = 0.0;
+    std::vector<double> camera_base;
+    std::set<int> missed;
+    bool rung_descended = false;
+    EecsController::Selection selection;
+  };
+  Round round_;
+};
+
+RoundEngine::RoundEngine(const DetectorBank& detectors, const OfflineKnowledge& knowledge,
+                         const EecsSimulationConfig& config)
+    : FrameRunner(detectors, config),
+      knowledge_(knowledge),
+      config_(config),
+      network_(config.models.radio_model, config.seed ^ 0xabcd),
+      cameras_(static_cast<std::size_t>(num_cameras_)),
+      anomaly_detector_(config.runtime.anomaly, num_cameras_),
+      flight_enabled_(obs::kEnabled && !config.runtime.flight_recorder_path.empty()),
+      flight_(flight_enabled_
+                  ? static_cast<std::size_t>(std::max(config.runtime.flight_recorder_rounds, 1))
+                  : 0),
+      controller_(make_controller()),
+      liveness_(num_cameras_, config.protocol.liveness_timeout_gt_frames * stride_),
+      retry_queue_(runtime::RetryPolicy{.max_retries = config.protocol.max_assignment_retries,
+                                        .jitter_fraction = config.protocol.retry_jitter_fraction,
+                                        .jitter_seed = config.seed}),
+      watchdog_({config.runtime.round_deadline_gt_frames, config.runtime.deadline_strikes_to_fail},
+                num_cameras_),
+      ladder_(config.runtime.degradation, num_cameras_),
+      fallback_(make_fallback()) {
+  network_.set_fault_plan(config.faults);
+  (void)network_.add_node(config.downlink);
+  for (int c = 0; c < num_cameras_; ++c) (void)network_.add_node(config.uplink);
+  // Full validation now that the node count is known (set_fault_plan could
+  // only do the node-count-free checks).
+  config.faults.validate(network_.node_count());
+  if constexpr (obs::kEnabled) {
+    obs::MetricsRegistry& metrics = obs::current().metrics();
+    for (int k = 0; k < obs::kNumAnomalyKinds; ++k) {
+      anomaly_counters_[static_cast<std::size_t>(k)] = &metrics.counter(
+          std::string("anomaly.") + obs::to_string(static_cast<obs::Anomaly::Kind>(k)));
+    }
+    // Per-camera energy gauges: battery residual mirrored on every drain, CPU
+    // joules accumulated at the serial debit points. Registered once here so
+    // the per-frame paths never format metric names.
+    for (int c = 0; c < num_cameras_; ++c) {
+      const std::string cam = "cam" + std::to_string(c);
+      battery(c).bind_residual_gauge(&metrics.gauge("energy.battery.residual." + cam));
+      cpu_gauges_[static_cast<std::size_t>(c)] = &metrics.gauge("energy.cpu_joules." + cam);
+    }
+  }
+}
+
+EecsController RoundEngine::make_controller() {
+  reid::ReIdentifier reidentifier = make_reidentifier(sim_);
+  {
+    const obs::ScopedSpan span("stage.features", "stage", st_.features_s);
+    reidentifier.set_color_gate(fit_color_gate(config_.dataset, config_.seed + 17));
+  }
+  return EecsController(knowledge_, std::move(reidentifier), config_.controller);
+}
+
+std::vector<std::optional<SlotRun>> RoundEngine::make_fallback() const {
+  std::vector<std::optional<SlotRun>> fallback(static_cast<std::size_t>(num_cameras_));
+  if (!ladder_.enabled()) return fallback;
+  const std::vector<detect::AlgorithmId>& allowed = config_.controller.algorithms;
+  for (int c = 0; c < num_cameras_; ++c) {
+    const TrainingItemProfile* item = find_profile(knowledge_, config_.dataset, c);
+    if (item == nullptr) continue;
+    const AlgorithmProfile* cheapest = nullptr;
+    for (const auto& profile : item->algorithms) {
+      if (std::find(allowed.begin(), allowed.end(), profile.id) == allowed.end() ||
+          profile.total_joules_per_frame() > config_.budget_per_frame) {
+        continue;
+      }
+      if (cheapest == nullptr ||
+          profile.total_joules_per_frame() < cheapest->total_joules_per_frame()) {
+        cheapest = &profile;
+      }
+    }
+    if (cheapest != nullptr) {
+      fallback[static_cast<std::size_t>(c)] = SlotRun{cheapest->id, cheapest->threshold};
+    }
+  }
+  return fallback;
+}
+
+SimulationResult RoundEngine::run() {
+  if (config_.runtime.resume_from.empty()) {
+    register_cameras();
+  } else {
+    resume();
+  }
+  bool stopped_early = false;
+  while (sim_.frame_index() + stride_ * config_.assessment_gt_frames < config_.end_frame) {
+    if (!run_round()) {
+      stopped_early = true;
+      break;
+    }
+  }
+  if (stopped_early) {
+    trace_instant("runtime.stop", "runtime", sim_.frame_index(),
+                  {{"rounds_completed", static_cast<double>(rounds_completed_)}});
+  }
+  // Assignments still awaiting an ack close the accounting identity:
+  // pushed == acked + abandoned + dropped + replaced + pending_at_exit.
+  faults_.assignments_pending_at_exit += static_cast<long>(retry_queue_.size());
+  // Receiver-side drops count as lost protocol messages, exactly like the
+  // legacy `faults.messages_lost += rx_dropped` accounting. On a resumed run
+  // the restored network state carries the full rx_dropped tally, so this
+  // single end-of-run increment never double counts (checkpoint counter
+  // snapshots exclude it by construction).
+  faults_.messages_lost += static_cast<long>(network_.rx_dropped());
+  return finish(resumed_faults_);
+}
+
+// §IV-B.1: feature upload + registration. Uses early test-segment frames.
+// The upload is retried immediately on loss (the camera sees the missing
+// link-layer ack); a camera whose upload never arrives stays unregistered
+// and is simply never selected.
+void RoundEngine::register_cameras() {
+  sim_.skip(config_.start_frame);
+  std::vector<std::vector<imaging::Image>> reg_frames(static_cast<std::size_t>(num_cameras_));
+  for (int f = 0; f < config_.upload_feature_frames; ++f) {
+    const video::MultiViewFrame frame = next_frame();
+    for (int c = 0; c < num_cameras_; ++c) {
+      reg_frames[static_cast<std::size_t>(c)].push_back(frame.views[static_cast<std::size_t>(c)]);
+    }
+    sim_.skip(stride_ - 1);
+  }
+  // Feature extraction fans out per camera (const extractor, disjoint
+  // outputs); the uploads below stay in camera order so the network's
+  // RNG/event sequence matches the serial path exactly.
+  struct Registration {
+    net::FeatureUploadMsg msg;
+    double cpu_joules = 0.0;
+  };
+  std::vector<Registration> registrations;
+  {
+    const obs::ScopedSpan span("stage.features", "stage", st_.features_s, sim_.frame_index());
+    const features::FrameFeatureExtractor& extractor = knowledge_.extractor();
+    registrations = common::parallel_map<Registration>(
+        static_cast<std::size_t>(num_cameras_), [&](std::size_t c) {
+          energy::CostCounter cost;
+          const auto& frames = reg_frames[c];
+          Registration reg;
+          reg.msg.camera_id = static_cast<int>(c);
+          reg.msg.feature_dim = extractor.dimension();
+          reg.msg.energy_budget = config_.budget_per_frame;
+          reg.msg.features.reserve(frames.size() * static_cast<std::size_t>(reg.msg.feature_dim));
+          for (const imaging::Image& frame : frames) {
+            const auto f = extractor.extract(frame, &cost);
+            for (int d = 0; d < reg.msg.feature_dim; ++d) {
+              reg.msg.features.push_back(f[static_cast<std::size_t>(d)]);
+            }
+          }
+          reg.cpu_joules = models_.cpu_model.joules(cost);
+          return reg;
+        });
+  }
+  const obs::ScopedSpan span("stage.net", "stage", st_.net_s, sim_.frame_index());
+  for (int c = 0; c < num_cameras_; ++c) {
+    const Registration& reg = registrations[static_cast<std::size_t>(c)];
+    const std::vector<std::uint8_t> payload = encode(reg.msg);
+    double tx_joules = 0.0;
+    net::TxResult tx;
+    int attempts = 0;
+    do {
+      ++attempts;
+      // First attempt is ordinary tx; every further attempt is retry
+      // energy, attributed as such. The result accumulates per attempt so
+      // the ledger total folds in the identical doubles in the same order.
+      const obs::EnergyCause cause = attempts == 1 ? obs::EnergyCause::Tx : obs::EnergyCause::Retry;
+      ++faults_.messages_sent;
+      tx = network_.send(node_of(c), 0, payload, net::TxClass::Data, cause);
+      tx_joules += tx.tx_joules;
+      charge_radio(c, obs::EnergyStage::Registration, -1, cause, tx.tx_joules);
+      if (!tx.delivered) ++faults_.messages_lost;
+    } while (!tx.delivered && attempts <= config_.protocol.registration_retries &&
+             !network_.node_down(node_of(c)));
+    if (!tx.delivered) ++faults_.registrations_lost;
+    debit(c, obs::EnergyStage::Registration, -1, obs::EnergyCause::Features, reg.cpu_joules,
+          reg.cpu_joules + tx_joules);
+  }
+}
+
+/// One recalibration round. Returns false once a simulated crash stops the
+/// run at the round boundary.
+bool RoundEngine::run_round() {
+  begin_round();
+  // --- Assessment window: every camera runs every affordable algorithm on
+  // the next GT frames. (Bookkeeping cost only; the paper's Fig. 5 energy
+  // covers the operation phase — see EXPERIMENTS.md.) Each sample travels
+  // as a control message: a lost one leaves a hole and the controller
+  // estimates from the partial assessment data it actually received.
+  for (int f = 0; f < config_.assessment_gt_frames; ++f) {
+    pump_network(sim_.frame_index() + 0.5);
+    assessment_frame(next_frame(), f);
+    sim_.skip(stride_ - 1);
+    if (sim_.frame_index() >= config_.end_frame) break;
+  }
+  // Collect the window's remaining uploads before selecting (everything
+  // sent by frame t is delivered well before t + stride).
+  pump_network(sim_.frame_index());
+  close_assessment();
+  // --- Operation window.
+  for (int f = 0; f < config_.operation_gt_frames; ++f) {
+    if (sim_.frame_index() >= config_.end_frame) break;
+    operation_frame();
+  }
+  record_round();
+  return !end_round();
+}
+
+void RoundEngine::begin_round() {
+  assessment_.clear();
+  in_flight_.clear();
+  round_ = Round{};
+  // Per-round message tallies for fault-storm detection, plus the ledger's
+  // round context and energy bases, so the flight recorder and the anomaly
+  // detector see this round's deltas at close.
+  round_.sent_base = faults_.messages_sent;
+  round_.lost_base = faults_.messages_lost;
+  ledger_.set_round(rounds_completed_);
+  round_.cpu_base = ledger_.cpu_total();
+  round_.radio_base = ledger_.radio_total();
+  if constexpr (obs::kEnabled) {
+    round_.camera_base.resize(static_cast<std::size_t>(num_cameras_));
+    for (int c = 0; c < num_cameras_; ++c) {
+      round_.camera_base[static_cast<std::size_t>(c)] = ledger_.camera_joules(c);
+    }
+  }
+  // The round deadline: cameras owing assessment metadata must land it
+  // before `deadline_gt_frames` ground-truth frames elapse.
+  if (watchdog_.enabled()) {
+    std::set<int> expected;
+    for (int c : eligible_set()) {
+      if (controller_.best_entry(c) != nullptr) expected.insert(c);
+    }
+    watchdog_.arm(sim_.frame_index(), stride_, expected);
+  }
+}
+
+void RoundEngine::assessment_frame(const video::MultiViewFrame& frame, int slot) {
+  // Gating depends only on state fixed before any of this frame's
+  // transmissions (node_down is clock-driven, batteries are not drained
+  // here), so the slots are built up front: one per camera, running each
+  // affordable algorithm over one shared cache.
+  std::vector<SweepSlot> slots(static_cast<std::size_t>(num_cameras_));
+  std::vector<char> camera_up(static_cast<std::size_t>(num_cameras_), 0);
+  for (int c = 0; c < num_cameras_; ++c) {
+    slots[static_cast<std::size_t>(c)].camera = c;
+    if (camera_down(c)) continue;
+    const runtime::DegradationRung rung = ladder_.rung(c);
+    if (rung == runtime::DegradationRung::Parked) continue;  // Radio dark.
+    camera_up[static_cast<std::size_t>(c)] = 1;
+    // MetadataOnly and deeper: heartbeats keep liveness, but the camera
+    // spends nothing on assessment detection.
+    if (rung >= runtime::DegradationRung::MetadataOnly) continue;
+    for (detect::AlgorithmId alg : config_.controller.algorithms) {
+      const AlgorithmProfile* profile = controller_.entry(c, alg);
+      if (profile == nullptr) continue;  // Over budget or not ranked.
+      slots[static_cast<std::size_t>(c)].runs.push_back({alg, profile->threshold});
+    }
+  }
+  std::vector<std::vector<FrameOutcome>> outcomes =
+      sweep(frame, slots, static_cast<std::uint64_t>(rounds_completed_), /*assessment=*/true);
+  // Sequential transmission phase, in the exact serial-path order:
+  // heartbeat(c), then one metadata message per assessed algorithm.
+  const obs::ScopedSpan span("stage.net", "stage", st_.net_s, frame.index);
+  for (int c = 0; c < num_cameras_; ++c) {
+    if (!camera_up[static_cast<std::size_t>(c)]) continue;
+    send_heartbeat(c, obs::EnergyStage::Assessment);
+    const std::vector<SlotRun>& runs = slots[static_cast<std::size_t>(c)].runs;
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+      FrameOutcome& outcome = outcomes[static_cast<std::size_t>(c)][t];
+      const int alg = static_cast<int>(runs[t].algorithm);
+      ++faults_.messages_sent;
+      const auto tx = network_.send(node_of(c), 0,
+                                    encode(make_metadata_msg(c, frame.index, runs[t].algorithm,
+                                                             outcome)),
+                                    net::TxClass::Control);
+      // Assessment metadata rides the control plane (zero joules today);
+      // the debit keeps the sample traffic visible in the audit.
+      ledger_.debit_radio(c, obs::EnergyStage::Assessment, alg, obs::EnergyCause::Tx,
+                          tx.tx_joules);
+      if (tx.delivered) {
+        in_flight_[{c, frame.index, alg}] = {slot, to_view_detections(c, std::move(outcome))};
+      } else {
+        ++faults_.messages_lost;
+      }
+    }
+  }
+}
+
+// Close the assessment at the watchdog: cameras whose assessment metadata
+// never landed inside the deadline take a strike; enough strikes fail them
+// out of the selection below and the round closes with the surviving
+// coverage. Then step the ladder and select.
+void RoundEngine::close_assessment() {
+  for (const runtime::RoundWatchdog::Miss& miss : watchdog_.close()) {
+    round_.missed.insert(miss.camera);
+    ++faults_.deadline_misses;
+    trace_instant("deadline.miss", "runtime", sim_.frame_index(),
+                  {{"camera", static_cast<double>(miss.camera)},
+                   {"strikes", static_cast<double>(miss.strikes)},
+                   {"failed", miss.failed ? 1.0 : 0.0}});
+  }
+  if (ladder_.enabled()) step_ladder();
+  round_.selection = select(/*midround=*/false, sim_.frame_index());
+}
+
+void RoundEngine::step_ladder() {
+  // Fault storm: a large fraction of this round's offered messages were
+  // lost (both tallies are deterministic, so the flag is too).
+  const auto& policy = config_.runtime.degradation;
+  const long round_sent = faults_.messages_sent - round_.sent_base;
+  const long round_lost = faults_.messages_lost - round_.lost_base;
+  const bool storm = round_sent >= policy.storm_min_messages &&
+                     static_cast<double>(round_lost) >=
+                         policy.storm_loss_ratio * static_cast<double>(round_sent);
+  for (int c = 0; c < num_cameras_; ++c) {
+    const energy::Battery& b = battery(c);
+    const double fraction = b.capacity() > 0.0 ? b.residual() / b.capacity() : 0.0;
+    // The advisory is last round's burn-rate finding for this camera
+    // (observed at the previous round close, restored on resume).
+    for (const runtime::DegradationLadder::Transition& t :
+         ladder_.on_round(c, fraction, round_.missed.count(c) > 0, storm,
+                          anomaly_detector_.flagged(c))) {
+      if (t.to > t.from) {
+        ++faults_.degradation_stepdowns;
+        round_.rung_descended = true;
+      } else {
+        ++faults_.degradation_stepups;
+      }
+      trace_instant("degradation.step", "runtime", sim_.frame_index(),
+                    {{"camera", static_cast<double>(c)},
+                     {"from", static_cast<double>(t.from)},
+                     {"to", static_cast<double>(t.to)},
+                     {"trigger", static_cast<double>(t.trigger)}});
+    }
+  }
+}
+
+void RoundEngine::operation_frame() {
+  pump_network(sim_.frame_index() + 0.5);
+  retry_assignments();
+  check_liveness();
+  const video::MultiViewFrame frame = next_frame();
+  ++result_.gt_frames_processed;
+  HumanTally humans(frame);
+
+  // Gate each camera exactly as the serial loop would (a camera only drains
+  // its own battery, so camera c's gate never depends on c' < c), fan the
+  // frame processing out, then replay transmissions and energy accounting
+  // sequentially in camera order.
+  enum class Act : char { Silent, HeartbeatOnly, Process };
+  std::vector<Act> acts(static_cast<std::size_t>(num_cameras_), Act::Silent);
+  std::vector<SweepSlot> slots;
+  for (int c = 0; c < num_cameras_; ++c) {
+    const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
+    if (battery(c).empty()) {
+      // Exhausted: the node is dark — no detection, no transmission.
+      if (cam.has_assignment && cam.active) ++faults_.frames_skipped_exhausted;
+      continue;
+    }
+    if (network_.node_down(node_of(c))) continue;
+    const runtime::DegradationRung rung = ladder_.rung(c);
+    if (rung == runtime::DegradationRung::Parked) {
+      // Deepest rung: radio and detector both off until recovery.
+      ++faults_.frames_parked;
+      continue;
+    }
+    // The detector/threshold the camera actually runs: its controller
+    // assignment, or the camera-local fallback once the ladder has pushed it
+    // to CheapAlgorithm or deeper.
+    SlotRun run{cam.algorithm, cam.threshold};
+    const std::optional<SlotRun>& fallback = fallback_[static_cast<std::size_t>(c)];
+    if (rung >= runtime::DegradationRung::CheapAlgorithm && fallback) run = *fallback;
+    // SkipFrames halves the duty cycle: odd GT slots become heartbeats.
+    const bool skip_slot =
+        rung == runtime::DegradationRung::SkipFrames && ((frame.index / stride_) & 1) != 0;
+    if (cam.has_assignment && cam.active && rung < runtime::DegradationRung::MetadataOnly &&
+        !skip_slot) {
+      acts[static_cast<std::size_t>(c)] = Act::Process;
+      slots.push_back({c, {run}});
+    } else {
+      acts[static_cast<std::size_t>(c)] = Act::HeartbeatOnly;
+    }
+  }
+  const std::vector<std::vector<FrameOutcome>> outcomes =
+      sweep(frame, slots, static_cast<std::uint64_t>(rounds_completed_), /*assessment=*/false);
+
+  const obs::ScopedSpan span("stage.net", "stage", st_.net_s, frame.index);
+  std::size_t next = 0;
+  for (int c = 0; c < num_cameras_; ++c) {
+    if (acts[static_cast<std::size_t>(c)] == Act::Silent) continue;
+    send_heartbeat(c, obs::EnergyStage::Operation);
+    if (acts[static_cast<std::size_t>(c)] != Act::Process) continue;
+    const detect::AlgorithmId algorithm = slots[next].runs.front().algorithm;
+    const FrameOutcome& outcome = outcomes[next++].front();
+    ++faults_.messages_sent;
+    const auto tx =
+        network_.send(node_of(c), 0, encode(make_metadata_msg(c, frame.index, algorithm, outcome)));
+    debit_frame(c, algorithm, outcome, tx.tx_joules, frame.index);
+    if (tx.delivered) {
+      humans.match(c, outcome.detections);
+    } else {
+      // The controller never sees these detections: they don't count.
+      ++faults_.messages_lost;
+    }
+  }
+  humans.close(result_);
+  sim_.skip(stride_ - 1);
+}
+
+// Round close, observability: fold the round into the anomaly detector
+// (whose burn-rate flags advise next round's ladder pass), then record it in
+// the flight recorder and dump the black box if the round tripped a
+// watchdog strike or a ladder descent.
+void RoundEngine::record_round() {
+  if constexpr (obs::kEnabled) {
+    obs::RoundObservation ob;
+    ob.round = rounds_completed_;
+    ob.messages_sent = static_cast<std::uint64_t>(faults_.messages_sent - round_.sent_base);
+    ob.messages_lost = static_cast<std::uint64_t>(faults_.messages_lost - round_.lost_base);
+    ob.deadline_misses = static_cast<std::uint32_t>(round_.missed.size());
+    ob.camera_joules.resize(static_cast<std::size_t>(num_cameras_));
+    for (int c = 0; c < num_cameras_; ++c) {
+      ob.camera_joules[static_cast<std::size_t>(c)] =
+          ledger_.camera_joules(c) - round_.camera_base[static_cast<std::size_t>(c)];
+    }
+    static constexpr const char* kAnomalyEvent[obs::kNumAnomalyKinds] = {
+        "anomaly.burn_rate", "anomaly.loss_rate", "anomaly.latency"};
+    int round_anomalies = 0;
+    for (const obs::Anomaly& a : anomaly_detector_.observe(ob)) {
+      ++round_anomalies;
+      anomaly_counters_[static_cast<std::size_t>(a.kind)]->inc();
+      trace_instant(kAnomalyEvent[static_cast<int>(a.kind)], "anomaly", sim_.frame_index(),
+                    {{"camera", static_cast<double>(a.camera)},
+                     {"round", static_cast<double>(a.round)},
+                     {"value", a.value},
+                     {"threshold", a.threshold}});
+    }
+    if (!flight_enabled_) return;
+    obs::FlightRound fr;
+    fr.round = rounds_completed_;
+    fr.sim_time_s = network_.now();
+    fr.selected = round_.selection.stats.cameras_active;
+    fr.assignments = static_cast<std::int32_t>(round_.selection.assignments.size());
+    fr.pending = static_cast<std::int32_t>(retry_queue_.size());
+    fr.deadline_misses = static_cast<std::int32_t>(round_.missed.size());
+    for (int c = 0; c < num_cameras_; ++c) fr.watchdog_strikes += watchdog_.strikes(c);
+    fr.messages_sent = ob.messages_sent;
+    fr.messages_lost = ob.messages_lost;
+    fr.cpu_joules = ledger_.cpu_total() - round_.cpu_base;
+    fr.radio_joules = ledger_.radio_total() - round_.radio_base;
+    fr.anomalies = round_anomalies;
+    fr.rungs.reserve(static_cast<std::size_t>(num_cameras_));
+    fr.residual_j.reserve(static_cast<std::size_t>(num_cameras_));
+    for (int c = 0; c < num_cameras_; ++c) {
+      fr.rungs.push_back(static_cast<std::int8_t>(ladder_.rung(c)));
+      fr.residual_j.push_back(battery(c).residual());
+    }
+    flight_.record(fr);
+    if (!round_.missed.empty()) {
+      (void)flight_.dump(config_.runtime.flight_recorder_path, "watchdog_strike");
+    } else if (round_.rung_descended) {
+      (void)flight_.dump(config_.runtime.flight_recorder_path, "ladder_descent");
+    }
+  }
+}
+
+// Round boundary: snapshot every K completed rounds, then honour a
+// simulated-crash stop. Nothing runs between here and the top of the next
+// round, so a resumed run re-enters the loop at exactly this program point.
+// Returns true when the run stops here.
+bool RoundEngine::end_round() {
+  ++rounds_completed_;
+  const RuntimeOptions& rt = config_.runtime;
+  if (rt.checkpoint_every_rounds > 0 && rounds_completed_ % rt.checkpoint_every_rounds == 0 &&
+      !rt.checkpoint_path.empty()) {
+    capture_checkpoint().save(rt.checkpoint_path);
+    trace_instant("runtime.checkpoint", "runtime", sim_.frame_index(),
+                  {{"rounds_completed", static_cast<double>(rounds_completed_)}});
+    if (flight_enabled_) (void)flight_.dump(rt.flight_recorder_path, "checkpoint");
+  }
+  if (rt.stop_after_rounds > 0 && rounds_completed_ >= rt.stop_after_rounds) {
+    if (flight_enabled_) (void)flight_.dump(rt.flight_recorder_path, "crash");
+    return true;
+  }
+  return false;
+}
+
+void RoundEngine::mark_heard(int camera, double time) {
+  if (camera < 0 || camera >= num_cameras_) return;
+  if (liveness_.mark_heard(camera, time)) {
+    ++faults_.cameras_recovered;
+    trace_instant("camera.recovered", "liveness", time, {{"camera", static_cast<double>(camera)}});
+  }
+}
+
+// Selection eligibility: alive cameras minus those failed by the round
+// watchdog and those degraded past useful detection. With the watchdog and
+// ladder disabled (the defaults) this is exactly the legacy alive set.
+std::set<int> RoundEngine::eligible_set() const {
+  std::set<int> eligible = liveness_.alive_set();
+  for (int camera : watchdog_.failed_set()) eligible.erase(camera);
+  if (ladder_.enabled()) {
+    for (int c = 0; c < num_cameras_; ++c) {
+      if (ladder_.rung(c) >= runtime::DegradationRung::MetadataOnly) eligible.erase(c);
+    }
+  }
+  return eligible;
+}
+
+void RoundEngine::handle_controller_delivery(const net::Network::Delivery& d) {
+  switch (net::peek_type(d.payload)) {
+    case net::MessageType::FeatureUpload: {
+      const auto msg = net::decode_feature_upload(d.payload);
+      if (msg.camera_id < 0 || msg.camera_id >= num_cameras_ || msg.feature_dim <= 0 ||
+          msg.features.empty()) {
+        return;
+      }
+      const int rows = static_cast<int>(msg.features.size()) / msg.feature_dim;
+      linalg::Matrix features(rows, msg.feature_dim);
+      for (int r = 0; r < rows; ++r) {
+        for (int col = 0; col < msg.feature_dim; ++col) {
+          features(r, col) = msg.features[static_cast<std::size_t>(r * msg.feature_dim + col)];
+        }
+      }
+      controller_.register_camera(msg.camera_id, features, msg.energy_budget);
+      mark_heard(msg.camera_id, d.time);
+      return;
+    }
+    case net::MessageType::DetectionMetadata: {
+      const auto msg = net::decode_detection_metadata(d.payload);
+      if (msg.camera_id < 0 || msg.camera_id >= num_cameras_) return;
+      mark_heard(msg.camera_id, d.time);
+      watchdog_.report(msg.camera_id, d.time);
+      const auto it =
+          in_flight_.find({msg.camera_id, msg.frame_index, static_cast<int>(msg.algorithm)});
+      if (it != in_flight_.end()) {
+        auto& sample = assessment_[msg.camera_id][static_cast<detect::AlgorithmId>(msg.algorithm)];
+        sample.frames.resize(static_cast<std::size_t>(config_.assessment_gt_frames));
+        sample.frames[static_cast<std::size_t>(it->second.slot)] =
+            std::move(it->second.detections);
+        in_flight_.erase(it);
+      }
+      return;
+    }
+    case net::MessageType::EnergyReport: {
+      const auto msg = net::decode_energy_report(d.payload);
+      mark_heard(msg.camera_id, d.time);
+      return;
+    }
+    case net::MessageType::AssignmentAck: {
+      const auto msg = net::decode_assignment_ack(d.payload);
+      mark_heard(msg.camera_id, d.time);
+      switch (retry_queue_.ack(msg.camera_id, msg.sequence)) {
+        case runtime::AssignmentRetryQueue::AckOutcome::Acked:
+          ++faults_.assignments_acked;
+          break;
+        case runtime::AssignmentRetryQueue::AckOutcome::Late:
+          // The assignment was already closed (acked, abandoned, or
+          // dropped): count the straggler, apply nothing.
+          ++faults_.acks_late;
+          break;
+        case runtime::AssignmentRetryQueue::AckOutcome::Stale:
+          break;  // Ack for a superseded sequence; the newer push retries on.
+      }
+      return;
+    }
+    default:
+      return;  // An assignment addressed to the controller is a stray.
+  }
+}
+
+void RoundEngine::handle_camera_delivery(int camera, const net::Network::Delivery& d) {
+  if (camera < 0 || camera >= num_cameras_) return;
+  if (battery(camera).empty()) return;  // Powered off: cannot receive.
+  if (net::peek_type(d.payload) != net::MessageType::AlgorithmAssignment) return;
+  const auto msg = net::decode_algorithm_assignment(d.payload);
+  CameraNode& cam = cameras_[static_cast<std::size_t>(camera)];
+  if (msg.sequence > cam.applied_sequence || !cam.has_assignment) {
+    cam.has_assignment = true;
+    cam.applied_sequence = msg.sequence;
+    cam.active = msg.active != 0;
+    cam.algorithm = static_cast<detect::AlgorithmId>(msg.algorithm);
+    cam.threshold = msg.threshold;
+  }
+  // Always ack — also for stale duplicates, so retransmissions stop. The
+  // ack rides the link layer (no application radio energy); cause-tagged as
+  // heartbeat traffic for the audit counters.
+  net::AssignmentAckMsg ack;
+  ack.camera_id = camera;
+  ack.sequence = msg.sequence;
+  ++faults_.messages_sent;
+  const auto tx = network_.send(node_of(camera), 0, encode(ack), net::TxClass::Control,
+                                obs::EnergyCause::Heartbeat);
+  if (!tx.delivered) ++faults_.messages_lost;
+}
+
+// Drain the network up to `until` and route deliveries. Malformed payloads
+// are rejected by the decoders (DecodeError) without killing the loop.
+void RoundEngine::pump_network(double until) {
+  const obs::ScopedSpan span("stage.net", "stage", st_.net_s, until);
+  for (const auto& d : network_.advance_to(until)) {
+    try {
+      if (d.to_node == 0) {
+        handle_controller_delivery(d);
+      } else {
+        handle_camera_delivery(camera_of(d.to_node), d);
+      }
+    } catch (const ByteReader::DecodeError&) {
+      ++faults_.decode_errors;
+    }
+  }
+}
+
+void RoundEngine::send_heartbeat(int c, obs::EnergyStage stage) {
+  net::EnergyReportMsg msg;
+  msg.camera_id = c;
+  msg.residual_joules = battery(c).residual();
+  ++faults_.messages_sent;
+  const auto tx = network_.send(node_of(c), 0, encode(msg), net::TxClass::Control,
+                                obs::EnergyCause::Heartbeat);
+  // Control-class: zero joules today, but the debit records the attempt in
+  // the ledger so heartbeat cost shows up the day the model charges it
+  // (x + 0.0 == x keeps the totals bit-equal to the result meanwhile).
+  ledger_.debit_radio(c, stage, -1, obs::EnergyCause::Heartbeat, tx.tx_joules);
+  if (!tx.delivered) ++faults_.messages_lost;
+}
+
+void RoundEngine::push_assignments(const std::vector<CameraAssignment>& assignments) {
+  for (const auto& a : assignments) {
+    net::AlgorithmAssignmentMsg msg;
+    msg.camera_id = a.camera;
+    msg.sequence = ++next_sequence_;
+    msg.algorithm = static_cast<std::uint8_t>(a.algorithm);
+    msg.threshold = a.threshold;
+    msg.active = a.active ? 1 : 0;
+    std::vector<std::uint8_t> payload = encode(msg);
+    ++faults_.messages_sent;
+    const auto tx = network_.send(0, node_of(a.camera), payload);
+    if (!tx.delivered) ++faults_.messages_lost;
+    trace_instant("camera.assign", "round", network_.now(),
+                  {{"camera", static_cast<double>(a.camera)},
+                   {"algorithm", static_cast<double>(msg.algorithm)},
+                   {"active", a.active ? 1.0 : 0.0}});
+    ++faults_.assignments_pushed;
+    if (retry_queue_.push(a.camera, std::move(payload), msg.sequence, network_.now(), stride_)) {
+      ++faults_.assignments_replaced;
+    }
+  }
+}
+
+// Select over the eligible cameras from this round's assessment data, log
+// the round, and push the assignments to the cameras over the network
+// (sequence-numbered; acked on delivery, retried with backoff while unacked).
+EecsController::Selection RoundEngine::select(bool midround, double span_time) {
+  const std::set<int> alive = eligible_set();
+  EecsController::Selection selection;
+  {
+    const obs::ScopedSpan span("stage.controller", "stage", st_.controller_s, span_time);
+    selection = controller_.select(assessment_, config_.mode, &alive);
+  }
+  result_.rounds.push_back({sim_.frame_index(), selection.stats, midround});
+  if (midround) ++faults_.midround_reselections;
+  trace_instant("round.select", "round", sim_.frame_index(),
+                {{"midround", midround ? 1.0 : 0.0},
+                 {"cameras_active", static_cast<double>(selection.stats.cameras_active)},
+                 {"n_est", selection.stats.n_est},
+                 {"p_est", selection.stats.p_est}});
+  controller_active_.clear();
+  for (const auto& a : selection.assignments) {
+    if (a.active) controller_active_.insert(a.camera);
+  }
+  push_assignments(selection.assignments);
+  return selection;
+}
+
+void RoundEngine::retry_assignments() {
+  const obs::ScopedSpan span("stage.net", "stage", st_.net_s, network_.now());
+  retry_queue_.process_due(
+      network_.now(), stride_,
+      [&](int camera, const runtime::AssignmentRetryQueue::Entry& entry) {
+        ++faults_.assignments_retried;
+        ++faults_.messages_sent;
+        trace_instant("assignment.retry", "protocol", network_.now(),
+                      {{"camera", static_cast<double>(camera)},
+                       {"attempt", static_cast<double>(entry.attempts + 1)}});
+        const auto tx = network_.send(0, node_of(camera), entry.payload, net::TxClass::Data,
+                                      obs::EnergyCause::Retry);
+        if (!tx.delivered) ++faults_.messages_lost;
+      },
+      [&](int camera, const runtime::AssignmentRetryQueue::Entry& entry) {
+        // Retry budget exhausted: the camera keeps its last-known-good
+        // assignment until the next recalibration round reaches it.
+        ++faults_.assignments_abandoned;
+        trace_instant("assignment.abandoned", "protocol", network_.now(),
+                      {{"camera", static_cast<double>(camera)},
+                       {"attempts", static_cast<double>(entry.attempts)}});
+      });
+}
+
+void RoundEngine::check_liveness() {
+  bool lost_active_camera = false;
+  for (int c : liveness_.sweep(network_.now())) {
+    ++faults_.cameras_failed;
+    trace_instant("camera.dead", "liveness", network_.now(),
+                  {{"camera", static_cast<double>(c)}, {"last_heard", liveness_.last_heard(c)}});
+    if (retry_queue_.drop(c)) ++faults_.assignments_dropped;  // Stop retrying into the void.
+    if (controller_active_.count(c) > 0) lost_active_camera = true;
+  }
+  // Mid-round recovery: re-select over the surviving cameras with this
+  // round's assessment data and push fresh assignments.
+  if (lost_active_camera) (void)select(/*midround=*/true, network_.now());
+}
+
+bool RoundEngine::camera_down(int c) const {
+  return batteries_[static_cast<std::size_t>(c)].empty() || network_.node_down(node_of(c));
+}
+
+runtime::SimulationCheckpoint::ConfigGuard RoundEngine::config_guard() const {
+  runtime::SimulationCheckpoint::ConfigGuard guard;
+  guard.dataset = config_.dataset;
+  guard.seed = config_.seed;
+  guard.mode = static_cast<std::int32_t>(config_.mode);
+  guard.start_frame = config_.start_frame;
+  guard.end_frame = config_.end_frame;
+  guard.assessment_gt_frames = config_.assessment_gt_frames;
+  guard.operation_gt_frames = config_.operation_gt_frames;
+  guard.gt_frame_step = config_.gt_frame_step;
+  guard.num_cameras = num_cameras_;
+  guard.budget_per_frame = config_.budget_per_frame;
+  guard.battery_joules = config_.battery_joules;
+  return guard;
+}
+
+// A full snapshot of the loop state, taken at a round boundary (assessment
+// data and in-flight samples are empty there).
+runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
+  runtime::SimulationCheckpoint ck;
+  ck.guard = config_guard();
+  ck.frame_index = sim_.frame_index();
+  ck.rounds_completed = rounds_completed_;
+  ck.cpu_joules = result_.cpu_joules;
+  ck.radio_joules = result_.radio_joules;
+  ck.humans_detected = result_.humans_detected;
+  ck.humans_present = result_.humans_present;
+  ck.gt_frames_processed = result_.gt_frames_processed;
+  ck.windows_evaluated = result_.windows_evaluated;
+  ck.windows_pruned = result_.windows_pruned;
+  ck.rounds.reserve(result_.rounds.size());
+  for (const RoundLog& round : result_.rounds) {
+    runtime::SimulationCheckpoint::RoundLogState entry;
+    entry.start_frame = round.start_frame;
+    entry.n_star = round.stats.n_star;
+    entry.p_star = round.stats.p_star;
+    entry.n_est = round.stats.n_est;
+    entry.p_est = round.stats.p_est;
+    entry.cameras_active = round.stats.cameras_active;
+    entry.summary = round.stats.summary;
+    entry.midround_recovery = round.midround_recovery ? 1 : 0;
+    ck.rounds.push_back(std::move(entry));
+  }
+  ck.fault_counters = pack_fault_counters(faults_);
+  ck.cameras.reserve(cameras_.size());
+  for (int c = 0; c < num_cameras_; ++c) {
+    const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
+    runtime::SimulationCheckpoint::CameraState state;
+    state.battery_residual = batteries_[static_cast<std::size_t>(c)].residual();
+    state.has_assignment = cam.has_assignment ? 1 : 0;
+    state.active = cam.active ? 1 : 0;
+    state.algorithm = static_cast<std::int32_t>(cam.algorithm);
+    state.threshold = cam.threshold;
+    state.applied_sequence = cam.applied_sequence;
+    state.deadline_strikes = watchdog_.strikes(c);
+    state.ladder = ladder_.state()[static_cast<std::size_t>(c)];
+    ck.cameras.push_back(state);
+  }
+  for (const auto& reg : controller_.registrations()) {
+    ck.registrations.push_back({reg.camera, reg.matched_item, reg.budget});
+  }
+  ck.liveness = liveness_.state();
+  ck.controller_active.assign(controller_active_.begin(), controller_active_.end());
+  for (const auto& [camera, entry] : retry_queue_.entries()) {
+    ck.pending.push_back({camera, entry});
+  }
+  ck.next_sequence = next_sequence_;
+  ck.network = network_.export_state();
+  ck.ledger = ledger_.export_state();
+  ck.anomaly = anomaly_detector_.export_state();
+  return ck;
+}
+
+// Resume from a snapshot written by a previous run with an identical
+// configuration: the registration phase is skipped and the loop re-enters
+// at the round boundary the snapshot was taken at.
+void RoundEngine::resume() {
+  const runtime::SimulationCheckpoint ck =
+      runtime::SimulationCheckpoint::load(config_.runtime.resume_from);
+  if (!(ck.guard == config_guard())) {
+    throw runtime::SnapshotError(
+        "resume: snapshot was taken under a different simulation configuration");
+  }
+  // The scene is a pure function of (environment, seed, #advances):
+  // replaying the advances restores its RNG stream exactly.
+  sim_.skip(ck.frame_index);
+  network_.import_state(ck.network);
+  for (const auto& reg : ck.registrations) {
+    controller_.restore_camera(reg.camera, reg.matched_item, reg.budget);
+  }
+  std::vector<int> strikes(static_cast<std::size_t>(num_cameras_), 0);
+  std::vector<runtime::DegradationLadder::CameraState> ladder_state(
+      static_cast<std::size_t>(num_cameras_));
+  for (int c = 0; c < num_cameras_; ++c) {
+    const auto& state = ck.cameras[static_cast<std::size_t>(c)];
+    CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
+    battery(c).restore_residual(state.battery_residual);
+    cam.has_assignment = state.has_assignment != 0;
+    cam.active = state.active != 0;
+    cam.algorithm = static_cast<detect::AlgorithmId>(state.algorithm);
+    cam.threshold = state.threshold;
+    cam.applied_sequence = state.applied_sequence;
+    strikes[static_cast<std::size_t>(c)] = state.deadline_strikes;
+    ladder_state[static_cast<std::size_t>(c)] = state.ladder;
+  }
+  watchdog_.restore(strikes);
+  ladder_.restore(ladder_state);
+  liveness_.restore(ck.liveness);
+  controller_active_ = std::set<int>(ck.controller_active.begin(), ck.controller_active.end());
+  std::map<int, runtime::AssignmentRetryQueue::Entry> pending_entries;
+  for (const auto& p : ck.pending) pending_entries[p.camera] = p.entry;
+  retry_queue_.restore(std::move(pending_entries));
+  next_sequence_ = ck.next_sequence;
+  result_.cpu_joules = ck.cpu_joules;
+  result_.radio_joules = ck.radio_joules;
+  result_.humans_detected = ck.humans_detected;
+  result_.humans_present = ck.humans_present;
+  result_.gt_frames_processed = ck.gt_frames_processed;
+  result_.windows_evaluated = ck.windows_evaluated;
+  result_.windows_pruned = ck.windows_pruned;
+  for (const auto& entry : ck.rounds) {
+    RoundLog round;
+    round.start_frame = entry.start_frame;
+    round.stats.n_star = entry.n_star;
+    round.stats.p_star = entry.p_star;
+    round.stats.n_est = entry.n_est;
+    round.stats.p_est = entry.p_est;
+    round.stats.cameras_active = entry.cameras_active;
+    round.stats.summary = entry.summary;
+    round.midround_recovery = entry.midround_recovery != 0;
+    result_.rounds.push_back(std::move(round));
+  }
+  resumed_faults_ = unpack_fault_counters(ck.fault_counters);
+  rounds_completed_ = ck.rounds_completed;
+  // Restore the audit ledger and anomaly windows captured with the
+  // snapshot, so the resumed run's conservation check covers the whole run
+  // and the detector replays identical findings. Guarded: a snapshot from
+  // a pre-ledger build simply restarts both empty.
+  if (ck.ledger.mirror_residual.size() == static_cast<std::size_t>(num_cameras_)) {
+    ledger_.import_state(ck.ledger);
+    anomaly_detector_.import_state(ck.anomaly);
+  }
+  trace_instant("runtime.resume", "runtime", sim_.frame_index(),
+                {{"rounds_completed", static_cast<double>(rounds_completed_)}});
+}
+
+/// A fixed (camera, algorithm) combination over the test segment: no
+/// network, no rounds — each entry runs every frame until its camera's
+/// battery is empty.
+class FixedComboRunner : FrameRunner {
+ public:
+  FixedComboRunner(const DetectorBank& detectors, const OfflineKnowledge& knowledge,
+                   const FixedCombo& combo, const FixedComboConfig& config)
+      : FrameRunner(detectors, config), config_(config) {
+    // One slot per entry, thresholds from the offline profile of the same
+    // (dataset, camera) — a camera listed twice keeps two independent
+    // caches, matching the per-entry work profile.
+    entries_.reserve(combo.active.size());
+    for (const auto& [camera, algorithm] : combo.active) {
+      EECS_EXPECTS(camera >= 0 && camera < num_cameras_);
+      const TrainingItemProfile* item = find_profile(knowledge, config.dataset, camera);
+      EECS_EXPECTS(item != nullptr);
+      const AlgorithmProfile* profile = item->find(algorithm);
+      EECS_EXPECTS(profile != nullptr);
+      entries_.push_back({camera, {{algorithm, profile->threshold}}});
+    }
+  }
+
+  SimulationResult run() {
+    sim_.skip(config_.start_frame);
+    while (sim_.frame_index() < config_.end_frame) {
+      const video::MultiViewFrame frame = next_frame();
+      ++result_.gt_frames_processed;
+      HumanTally humans(frame);
+      // Fan out the entries whose battery holds charge at the top of the
+      // frame; the replay below re-checks each battery at its sequence
+      // point, so an entry drained dark mid-frame (a camera listed twice)
+      // discards its speculative outcome. No rounds: the gate's recovery
+      // cadence ticks per GT frame.
+      std::vector<SweepSlot> slots = entries_;
+      for (SweepSlot& slot : slots) {
+        if (battery(slot.camera).empty()) slot.runs.clear();
+      }
+      const std::vector<std::vector<FrameOutcome>> outcomes =
+          sweep(frame, slots, static_cast<std::uint64_t>(result_.gt_frames_processed),
+                /*assessment=*/false);
+      for (std::size_t e = 0; e < entries_.size(); ++e) {
+        const int camera = entries_[e].camera;
+        if (battery(camera).empty()) {
+          // Exhausted camera: contributes no detections and no radio energy.
+          ++faults_.frames_skipped_exhausted;
+          continue;
+        }
+        // The uplink is priced like the loop's: the encoded metadata
+        // message plus the JPEG crops; every upload is delivered.
+        const detect::AlgorithmId algorithm = entries_[e].runs.front().algorithm;
+        const FrameOutcome& outcome = outcomes[e].front();
+        const std::size_t msg_bytes =
+            encode(make_metadata_msg(camera, frame.index, algorithm, outcome)).size();
+        debit_frame(camera, algorithm, outcome, models_.radio_model.tx_joules(msg_bytes),
+                    frame.index);
+        humans.match(camera, outcome.detections);
+      }
+      humans.close(result_);
+      sim_.skip(stride_ - 1);
+    }
+    return finish();
+  }
+
+ private:
+  const FixedComboConfig& config_;
+  std::vector<SweepSlot> entries_;
 };
 
 }  // namespace
@@ -409,1204 +1551,13 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
                                      const OfflineKnowledge& knowledge,
                                      const EecsSimulationConfig& config) {
   EECS_EXPECTS(config.start_frame < config.end_frame);
-  const common::ScopedThreads scoped_threads(config.threads);
-  const simd::ScopedSimd scoped_simd(config.simd);
-  // Dispatch mode is a build/run-environment fact, not a run result: WallClock
-  // so determinism snapshots (which diff SIMD-on vs SIMD-off runs) skip it.
-  obs::current()
-      .metrics()
-      .gauge("simd.dispatch.native", obs::Determinism::WallClock)
-      .set(simd::enabled() && simd::kNativeBackend ? 1.0 : 0.0);
-  const DetectorLookup detector_of(detectors);
-  // Context gate: resolved once per run (config knob, EECS_CONTEXT_GATE env
-  // override). The recovery cadence is driven by rounds_completed, which the
-  // checkpoint restores, so gating resumes bit-exactly.
-  const detect::ContextGateOptions gate_opts = detect::resolve_context_gate(config.context_gate);
-  video::SceneSimulator sim(video::dataset_by_id(config.dataset), config.seed);
-  const int stride = sim.environment().ground_truth_stride * config.gt_frame_step;
-  const int num_cameras = static_cast<int>(sim.cameras().size());
-
-  // Network: node 0 is the controller; nodes 1..M the cameras. The network
-  // clock is driven with the video frame index (one frame = one clock unit).
-  net::Network network(config.models.radio_model, config.seed ^ 0xabcd);
-  network.set_fault_plan(config.faults);
-  (void)network.add_node(config.downlink);
-  std::vector<int> net_node(static_cast<std::size_t>(num_cameras));
-  std::vector<CameraNode> cameras;
-  for (int c = 0; c < num_cameras; ++c) {
-    net_node[static_cast<std::size_t>(c)] = network.add_node(config.uplink);
-    cameras.push_back({energy::Battery(config.battery_joules)});
-  }
-  // Full validation now that the node count is known (set_fault_plan could
-  // only do the node-count-free checks).
-  config.faults.validate(network.node_count());
-  const auto node_camera = [&](int node) { return node - 1; };
-
-  SimulationResult result;
-  obs::Telemetry& telemetry = obs::current();
-  SimTelemetry st(telemetry.metrics());
-
-  // ---- Energy audit ledger: every joule debited below is attributed to a
-  // (camera, round, stage, algorithm, cause) key, with running totals that
-  // accumulate the exact same doubles in the same order as the result
-  // accumulators and battery mirrors replaying every drain — so conservation
-  // against the returned result is bit-exact (see obs/ledger.hpp).
-  obs::EnergyLedger& ledger = telemetry.ledger();
-  ledger.begin_run(std::vector<double>(static_cast<std::size_t>(num_cameras),
-                                       config.battery_joules));
-
-  // ---- Anomaly detection + flight recorder (obs/anomaly.hpp, obs/flight.hpp).
-  obs::AnomalyDetector anomaly_detector(config.runtime.anomaly, num_cameras);
-  const bool flight_enabled =
-      obs::kEnabled && !config.runtime.flight_recorder_path.empty();
-  obs::FlightRecorder flight(
-      flight_enabled ? static_cast<std::size_t>(std::max(config.runtime.flight_recorder_rounds, 1))
-                     : 0);
-  obs::Counter* anomaly_counters[obs::kNumAnomalyKinds] = {};
-  if constexpr (obs::kEnabled) {
-    for (int k = 0; k < obs::kNumAnomalyKinds; ++k) {
-      anomaly_counters[k] = &telemetry.metrics().counter(
-          std::string("anomaly.") + obs::to_string(static_cast<obs::Anomaly::Kind>(k)));
-    }
-  }
-
-  // Per-camera energy gauges: battery residual mirrored on every drain, CPU
-  // joules accumulated at the serial replay points. Registered once here so
-  // the per-frame paths never format metric names.
-  std::vector<obs::Gauge*> cpu_gauges(static_cast<std::size_t>(num_cameras), nullptr);
-  if constexpr (obs::kEnabled) {
-    for (int c = 0; c < num_cameras; ++c) {
-      const std::string cam = "cam" + std::to_string(c);
-      cameras[static_cast<std::size_t>(c)].battery.bind_residual_gauge(
-          &telemetry.metrics().gauge("energy.battery.residual." + cam));
-      cpu_gauges[static_cast<std::size_t>(c)] =
-          &telemetry.metrics().gauge("energy.cpu_joules." + cam);
-    }
-  }
-
-  reid::ReIdentifier reidentifier = make_reidentifier(sim);
-  {
-    const obs::ScopedSpan span("stage.features", "stage", st.features_s);
-    reidentifier.set_color_gate(fit_color_gate(config.dataset, config.seed + 17));
-  }
-  EecsController controller(knowledge, std::move(reidentifier), config.controller);
-
-  // ---- Controller-side protocol state (runtime layer).
-  runtime::LivenessTracker liveness(num_cameras,
-                                    config.protocol.liveness_timeout_gt_frames * stride);
-  runtime::RetryPolicy retry_policy;
-  retry_policy.max_retries = config.protocol.max_assignment_retries;
-  retry_policy.jitter_fraction = config.protocol.retry_jitter_fraction;
-  retry_policy.jitter_seed = config.seed;
-  runtime::AssignmentRetryQueue retry_queue(retry_policy);
-  runtime::RoundWatchdog watchdog({config.runtime.round_deadline_gt_frames,
-                                   config.runtime.deadline_strikes_to_fail},
-                                  num_cameras);
-  runtime::DegradationLadder ladder(config.runtime.degradation, num_cameras);
-  std::set<int> controller_active;
-  std::uint32_t next_sequence = 0;
-  long rounds_completed = 0;
-  AssessmentData assessment;
-
-  // Camera-flash fallback table for the ladder's CheapAlgorithm/SkipFrames
-  // rungs: the cheapest allowed in-budget profile of the camera's own feed
-  // (the profile data ships with the camera firmware, so no wire traffic is
-  // needed to degrade). Computed only when the ladder can engage.
-  struct FallbackEntry {
-    bool valid = false;
-    detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-    double threshold = 0.0;
-  };
-  std::vector<FallbackEntry> fallback(static_cast<std::size_t>(num_cameras));
-  if (ladder.enabled()) {
-    for (int c = 0; c < num_cameras; ++c) {
-      const TrainingItemProfile* item = find_profile(knowledge, config.dataset, c);
-      if (item == nullptr) continue;
-      const AlgorithmProfile* cheapest = nullptr;
-      for (const auto& profile : item->algorithms) {
-        const bool allowed =
-            std::find(config.controller.algorithms.begin(), config.controller.algorithms.end(),
-                      profile.id) != config.controller.algorithms.end();
-        if (!allowed || profile.total_joules_per_frame() > config.budget_per_frame) continue;
-        if (cheapest == nullptr ||
-            profile.total_joules_per_frame() < cheapest->total_joules_per_frame()) {
-          cheapest = &profile;
-        }
-      }
-      if (cheapest != nullptr) {
-        fallback[static_cast<std::size_t>(c)] = {true, cheapest->id, cheapest->threshold};
-      }
-    }
-  }
-  // Assessment samples in flight: (camera, frame, algorithm) -> (window slot,
-  // full-fidelity detections). The wire carries the §V-A-sized payload for
-  // loss accounting; the simulator hands the lossless sample to the
-  // controller when (and only when) that payload is actually delivered.
-  struct InFlightSample {
-    int slot = 0;
-    std::vector<reid::ViewDetection> detections;
-  };
-  std::map<std::tuple<int, int, int>, InFlightSample> in_flight;
-
-  const auto mark_heard = [&](int camera, double time) {
-    if (camera < 0 || camera >= num_cameras) return;
-    if (liveness.mark_heard(camera, time)) {
-      st.cameras_recovered.inc();
-      trace_instant("camera.recovered", "liveness", time,
-                    {{"camera", static_cast<double>(camera)}});
-    }
-  };
-
-  // Selection eligibility: alive cameras minus those failed by the round
-  // watchdog and those degraded past useful detection. With the watchdog and
-  // ladder disabled (the defaults) this is exactly the legacy alive set.
-  const auto eligible_set = [&]() {
-    std::set<int> eligible = liveness.alive_set();
-    for (int camera : watchdog.failed_set()) eligible.erase(camera);
-    if (ladder.enabled()) {
-      for (int c = 0; c < num_cameras; ++c) {
-        if (ladder.rung(c) >= runtime::DegradationRung::MetadataOnly) eligible.erase(c);
-      }
-    }
-    return eligible;
-  };
-
-  const auto handle_controller_delivery = [&](const net::Network::Delivery& d) {
-    switch (net::peek_type(d.payload)) {
-      case net::MessageType::FeatureUpload: {
-        const auto msg = net::decode_feature_upload(d.payload);
-        if (msg.camera_id < 0 || msg.camera_id >= num_cameras || msg.feature_dim <= 0 ||
-            msg.features.empty()) {
-          return;
-        }
-        const int rows = static_cast<int>(msg.features.size()) / msg.feature_dim;
-        linalg::Matrix features(rows, msg.feature_dim);
-        for (int r = 0; r < rows; ++r) {
-          for (int col = 0; col < msg.feature_dim; ++col) {
-            features(r, col) =
-                msg.features[static_cast<std::size_t>(r * msg.feature_dim + col)];
-          }
-        }
-        controller.register_camera(msg.camera_id, features, msg.energy_budget);
-        mark_heard(msg.camera_id, d.time);
-        return;
-      }
-      case net::MessageType::DetectionMetadata: {
-        const auto msg = net::decode_detection_metadata(d.payload);
-        if (msg.camera_id < 0 || msg.camera_id >= num_cameras) return;
-        mark_heard(msg.camera_id, d.time);
-        watchdog.report(msg.camera_id, d.time);
-        const auto it = in_flight.find(
-            {msg.camera_id, msg.frame_index, static_cast<int>(msg.algorithm)});
-        if (it != in_flight.end()) {
-          auto& sample =
-              assessment[msg.camera_id][static_cast<detect::AlgorithmId>(msg.algorithm)];
-          sample.frames.resize(static_cast<std::size_t>(config.assessment_gt_frames));
-          sample.frames[static_cast<std::size_t>(it->second.slot)] =
-              std::move(it->second.detections);
-          in_flight.erase(it);
-        }
-        return;
-      }
-      case net::MessageType::EnergyReport: {
-        const auto msg = net::decode_energy_report(d.payload);
-        mark_heard(msg.camera_id, d.time);
-        return;
-      }
-      case net::MessageType::AssignmentAck: {
-        const auto msg = net::decode_assignment_ack(d.payload);
-        mark_heard(msg.camera_id, d.time);
-        switch (retry_queue.ack(msg.camera_id, msg.sequence)) {
-          case runtime::AssignmentRetryQueue::AckOutcome::Acked:
-            st.assignments_acked.inc();
-            break;
-          case runtime::AssignmentRetryQueue::AckOutcome::Late:
-            // The assignment was already closed (acked, abandoned, or
-            // dropped): count the straggler, apply nothing.
-            st.acks_late.inc();
-            break;
-          case runtime::AssignmentRetryQueue::AckOutcome::Stale:
-            break;  // Ack for a superseded sequence; the newer push retries on.
-        }
-        return;
-      }
-      default:
-        return;  // An assignment addressed to the controller is a stray.
-    }
-  };
-
-  const auto handle_camera_delivery = [&](int camera, const net::Network::Delivery& d) {
-    if (camera < 0 || camera >= num_cameras) return;
-    CameraNode& cam = cameras[static_cast<std::size_t>(camera)];
-    if (cam.battery.empty()) return;  // Powered off: cannot receive.
-    if (net::peek_type(d.payload) != net::MessageType::AlgorithmAssignment) return;
-    const auto msg = net::decode_algorithm_assignment(d.payload);
-    if (msg.sequence > cam.applied_sequence || !cam.has_assignment) {
-      cam.has_assignment = true;
-      cam.applied_sequence = msg.sequence;
-      cam.active = msg.active != 0;
-      cam.algorithm = static_cast<detect::AlgorithmId>(msg.algorithm);
-      cam.threshold = msg.threshold;
-    }
-    // Always ack — also for stale duplicates, so retransmissions stop. The
-    // ack rides the link layer (no application radio energy); cause-tagged as
-    // heartbeat traffic for the audit counters.
-    net::AssignmentAckMsg ack;
-    ack.camera_id = camera;
-    ack.sequence = msg.sequence;
-    st.messages_sent.inc();
-    const auto tx = network.send(net_node[static_cast<std::size_t>(camera)], 0, encode(ack),
-                                 net::TxClass::Control, obs::EnergyCause::Heartbeat);
-    if (!tx.delivered) st.messages_lost.inc();
-  };
-
-  // Drain the network up to `until` and route deliveries. Malformed payloads
-  // are rejected by the decoders (DecodeError) without killing the loop.
-  const auto pump_network = [&](double until) {
-    const obs::ScopedSpan span("stage.net", "stage", st.net_s, until);
-    for (const auto& d : network.advance_to(until)) {
-      try {
-        if (d.to_node == 0) {
-          handle_controller_delivery(d);
-        } else {
-          handle_camera_delivery(node_camera(d.to_node), d);
-        }
-      } catch (const ByteReader::DecodeError&) {
-        st.decode_errors.inc();
-      }
-    }
-  };
-
-  const auto send_heartbeat = [&](int c, obs::EnergyStage stage) {
-    net::EnergyReportMsg msg;
-    msg.camera_id = c;
-    msg.residual_joules = cameras[static_cast<std::size_t>(c)].battery.residual();
-    st.messages_sent.inc();
-    const auto tx = network.send(net_node[static_cast<std::size_t>(c)], 0, encode(msg),
-                                 net::TxClass::Control, obs::EnergyCause::Heartbeat);
-    // Control-class: zero joules today, but the debit records the attempt in
-    // the ledger so heartbeat cost shows up the day the model charges it
-    // (x + 0.0 == x keeps the totals bit-equal to the result meanwhile).
-    ledger.debit_radio(c, stage, -1, obs::EnergyCause::Heartbeat, tx.tx_joules);
-    if (!tx.delivered) st.messages_lost.inc();
-  };
-
-  const auto push_assignments = [&](const std::vector<CameraAssignment>& assignments) {
-    for (const auto& a : assignments) {
-      net::AlgorithmAssignmentMsg msg;
-      msg.camera_id = a.camera;
-      msg.sequence = ++next_sequence;
-      msg.algorithm = static_cast<std::uint8_t>(a.algorithm);
-      msg.threshold = a.threshold;
-      msg.active = a.active ? 1 : 0;
-      std::vector<std::uint8_t> payload = encode(msg);
-      st.messages_sent.inc();
-      const auto tx = network.send(0, net_node[static_cast<std::size_t>(a.camera)], payload);
-      if (!tx.delivered) st.messages_lost.inc();
-      trace_instant("camera.assign", "round", network.now(),
-                    {{"camera", static_cast<double>(a.camera)},
-                     {"algorithm", static_cast<double>(msg.algorithm)},
-                     {"active", a.active ? 1.0 : 0.0}});
-      st.assignments_pushed.inc();
-      if (retry_queue.push(a.camera, std::move(payload), msg.sequence, network.now(), stride)) {
-        st.assignments_replaced.inc();
-      }
-    }
-  };
-
-  const auto apply_selection = [&](const EecsController::Selection& selection) {
-    controller_active.clear();
-    for (const auto& a : selection.assignments) {
-      if (a.active) controller_active.insert(a.camera);
-    }
-    push_assignments(selection.assignments);
-  };
-
-  const auto retry_assignments = [&]() {
-    const obs::ScopedSpan span("stage.net", "stage", st.net_s, network.now());
-    retry_queue.process_due(
-        network.now(), stride,
-        [&](int camera, const runtime::AssignmentRetryQueue::Entry& entry) {
-          st.assignments_retried.inc();
-          st.messages_sent.inc();
-          trace_instant("assignment.retry", "protocol", network.now(),
-                        {{"camera", static_cast<double>(camera)},
-                         {"attempt", static_cast<double>(entry.attempts + 1)}});
-          const auto tx = network.send(0, net_node[static_cast<std::size_t>(camera)],
-                                       entry.payload, net::TxClass::Data,
-                                       obs::EnergyCause::Retry);
-          if (!tx.delivered) st.messages_lost.inc();
-        },
-        [&](int camera, const runtime::AssignmentRetryQueue::Entry& entry) {
-          // Retry budget exhausted: the camera keeps its last-known-good
-          // assignment until the next recalibration round reaches it.
-          st.assignments_abandoned.inc();
-          trace_instant("assignment.abandoned", "protocol", network.now(),
-                        {{"camera", static_cast<double>(camera)},
-                         {"attempts", static_cast<double>(entry.attempts)}});
-        });
-  };
-
-  const auto check_liveness = [&]() {
-    bool lost_active_camera = false;
-    for (int c : liveness.sweep(network.now())) {
-      st.cameras_failed.inc();
-      trace_instant("camera.dead", "liveness", network.now(),
-                    {{"camera", static_cast<double>(c)},
-                     {"last_heard", liveness.last_heard(c)}});
-      if (retry_queue.drop(c)) st.assignments_dropped.inc();  // Stop retrying into the void.
-      if (controller_active.count(c) > 0) lost_active_camera = true;
-    }
-    if (lost_active_camera) {
-      // Mid-round recovery: re-select over the surviving cameras with this
-      // round's assessment data and push fresh assignments.
-      const std::set<int> alive = eligible_set();
-      const EecsController::Selection selection = [&] {
-        const obs::ScopedSpan span("stage.controller", "stage", st.controller_s, network.now());
-        return controller.select(assessment, config.mode, &alive);
-      }();
-      result.rounds.push_back({sim.frame_index(), selection.stats, true});
-      st.midround_reselections.inc();
-      trace_instant("round.select", "round", sim.frame_index(),
-                    {{"midround", 1.0},
-                     {"cameras_active", static_cast<double>(selection.stats.cameras_active)},
-                     {"n_est", selection.stats.n_est},
-                     {"p_est", selection.stats.p_est}});
-      apply_selection(selection);
-    }
-  };
-
-  const auto camera_down = [&](int c) {
-    return cameras[static_cast<std::size_t>(c)].battery.empty() ||
-           network.node_down(net_node[static_cast<std::size_t>(c)]);
-  };
-
-  const auto next_frame_timed = [&]() {
-    const obs::ScopedSpan span("stage.render", "stage", st.render_s, sim.frame_index());
-    return sim.next_frame();
-  };
-
-  // ---- Checkpoint capture: a full snapshot of the loop state, taken at a
-  // round boundary (assessment data and in-flight samples are empty there).
-  const auto config_guard = [&]() {
-    runtime::SimulationCheckpoint::ConfigGuard guard;
-    guard.dataset = config.dataset;
-    guard.seed = config.seed;
-    guard.mode = static_cast<std::int32_t>(config.mode);
-    guard.start_frame = config.start_frame;
-    guard.end_frame = config.end_frame;
-    guard.assessment_gt_frames = config.assessment_gt_frames;
-    guard.operation_gt_frames = config.operation_gt_frames;
-    guard.gt_frame_step = config.gt_frame_step;
-    guard.num_cameras = num_cameras;
-    guard.budget_per_frame = config.budget_per_frame;
-    guard.battery_joules = config.battery_joules;
-    return guard;
-  };
-
-  const auto capture_checkpoint = [&]() {
-    runtime::SimulationCheckpoint ck;
-    ck.guard = config_guard();
-    ck.frame_index = sim.frame_index();
-    ck.rounds_completed = rounds_completed;
-    ck.cpu_joules = result.cpu_joules;
-    ck.radio_joules = result.radio_joules;
-    ck.humans_detected = result.humans_detected;
-    ck.humans_present = result.humans_present;
-    ck.gt_frames_processed = result.gt_frames_processed;
-    ck.windows_evaluated = result.windows_evaluated;
-    ck.windows_pruned = result.windows_pruned;
-    ck.rounds.reserve(result.rounds.size());
-    for (const RoundLog& round : result.rounds) {
-      runtime::SimulationCheckpoint::RoundLogState entry;
-      entry.start_frame = round.start_frame;
-      entry.n_star = round.stats.n_star;
-      entry.p_star = round.stats.p_star;
-      entry.n_est = round.stats.n_est;
-      entry.p_est = round.stats.p_est;
-      entry.cameras_active = round.stats.cameras_active;
-      entry.summary = round.stats.summary;
-      entry.midround_recovery = round.midround_recovery ? 1 : 0;
-      ck.rounds.push_back(std::move(entry));
-    }
-    ck.fault_counters = pack_fault_counters(st.fault_deltas());
-    ck.cameras.reserve(cameras.size());
-    for (int c = 0; c < num_cameras; ++c) {
-      const CameraNode& cam = cameras[static_cast<std::size_t>(c)];
-      runtime::SimulationCheckpoint::CameraState state;
-      state.battery_residual = cam.battery.residual();
-      state.has_assignment = cam.has_assignment ? 1 : 0;
-      state.active = cam.active ? 1 : 0;
-      state.algorithm = static_cast<std::int32_t>(cam.algorithm);
-      state.threshold = cam.threshold;
-      state.applied_sequence = cam.applied_sequence;
-      state.deadline_strikes = watchdog.strikes(c);
-      state.ladder = ladder.state()[static_cast<std::size_t>(c)];
-      ck.cameras.push_back(state);
-    }
-    for (const auto& reg : controller.registrations()) {
-      ck.registrations.push_back({reg.camera, reg.matched_item, reg.budget});
-    }
-    ck.liveness = liveness.state();
-    ck.controller_active.assign(controller_active.begin(), controller_active.end());
-    for (const auto& [camera, entry] : retry_queue.entries()) {
-      ck.pending.push_back({camera, entry});
-    }
-    ck.next_sequence = next_sequence;
-    ck.network = network.export_state();
-    ck.ledger = ledger.export_state();
-    ck.anomaly = anomaly_detector.export_state();
-    return ck;
-  };
-
-  FaultCounters resumed_faults{};
-  bool resumed = false;
-  if (!config.runtime.resume_from.empty()) {
-    const runtime::SimulationCheckpoint ck =
-        runtime::SimulationCheckpoint::load(config.runtime.resume_from);
-    if (!(ck.guard == config_guard())) {
-      throw runtime::SnapshotError(
-          "resume: snapshot was taken under a different simulation configuration");
-    }
-    // The scene is a pure function of (environment, seed, #advances):
-    // replaying the advances restores its RNG stream exactly.
-    sim.skip(ck.frame_index);
-    network.import_state(ck.network);
-    for (const auto& reg : ck.registrations) {
-      controller.restore_camera(reg.camera, reg.matched_item, reg.budget);
-    }
-    std::vector<int> strikes(static_cast<std::size_t>(num_cameras), 0);
-    std::vector<runtime::DegradationLadder::CameraState> ladder_state(
-        static_cast<std::size_t>(num_cameras));
-    for (int c = 0; c < num_cameras; ++c) {
-      const auto& state = ck.cameras[static_cast<std::size_t>(c)];
-      CameraNode& cam = cameras[static_cast<std::size_t>(c)];
-      cam.battery.restore_residual(state.battery_residual);
-      cam.has_assignment = state.has_assignment != 0;
-      cam.active = state.active != 0;
-      cam.algorithm = static_cast<detect::AlgorithmId>(state.algorithm);
-      cam.threshold = state.threshold;
-      cam.applied_sequence = state.applied_sequence;
-      strikes[static_cast<std::size_t>(c)] = state.deadline_strikes;
-      ladder_state[static_cast<std::size_t>(c)] = state.ladder;
-    }
-    watchdog.restore(strikes);
-    ladder.restore(ladder_state);
-    liveness.restore(ck.liveness);
-    controller_active =
-        std::set<int>(ck.controller_active.begin(), ck.controller_active.end());
-    std::map<int, runtime::AssignmentRetryQueue::Entry> pending_entries;
-    for (const auto& p : ck.pending) pending_entries[p.camera] = p.entry;
-    retry_queue.restore(std::move(pending_entries));
-    next_sequence = ck.next_sequence;
-    result.cpu_joules = ck.cpu_joules;
-    result.radio_joules = ck.radio_joules;
-    result.humans_detected = ck.humans_detected;
-    result.humans_present = ck.humans_present;
-    result.gt_frames_processed = ck.gt_frames_processed;
-    result.windows_evaluated = ck.windows_evaluated;
-    result.windows_pruned = ck.windows_pruned;
-    for (const auto& entry : ck.rounds) {
-      RoundLog round;
-      round.start_frame = entry.start_frame;
-      round.stats.n_star = entry.n_star;
-      round.stats.p_star = entry.p_star;
-      round.stats.n_est = entry.n_est;
-      round.stats.p_est = entry.p_est;
-      round.stats.cameras_active = entry.cameras_active;
-      round.stats.summary = entry.summary;
-      round.midround_recovery = entry.midround_recovery != 0;
-      result.rounds.push_back(std::move(round));
-    }
-    resumed_faults = unpack_fault_counters(ck.fault_counters);
-    rounds_completed = ck.rounds_completed;
-    // Restore the audit ledger and anomaly windows captured with the
-    // snapshot, so the resumed run's conservation check covers the whole run
-    // and the detector replays identical findings. Guarded: a snapshot from
-    // a pre-ledger build simply restarts both empty.
-    if (ck.ledger.mirror_residual.size() == static_cast<std::size_t>(num_cameras)) {
-      ledger.import_state(ck.ledger);
-      anomaly_detector.import_state(ck.anomaly);
-    }
-    resumed = true;
-    trace_instant("runtime.resume", "runtime", sim.frame_index(),
-                  {{"rounds_completed", static_cast<double>(rounds_completed)}});
-  }
-
-  // §IV-B.1: feature upload + registration. Uses early test-segment frames.
-  // The upload is retried immediately on loss (the camera sees the missing
-  // link-layer ack); a camera whose upload never arrives stays unregistered
-  // and is simply never selected. A resumed run restores the registration
-  // state from the snapshot instead of re-running the upload phase.
-  if (!resumed) {
-  sim.skip(config.start_frame);
-  {
-    std::vector<std::vector<imaging::Image>> reg_frames(static_cast<std::size_t>(num_cameras));
-    for (int f = 0; f < config.upload_feature_frames; ++f) {
-      const video::MultiViewFrame frame = next_frame_timed();
-      for (int c = 0; c < num_cameras; ++c) {
-        reg_frames[static_cast<std::size_t>(c)].push_back(frame.views[static_cast<std::size_t>(c)]);
-      }
-      sim.skip(stride - 1);
-    }
-    // Feature extraction fans out per camera (const extractor, disjoint
-    // outputs); the uploads below stay in camera order so the network's
-    // RNG/event sequence matches the serial path exactly.
-    struct Registration {
-      net::FeatureUploadMsg msg;
-      double cpu_joules = 0.0;
-    };
-    std::vector<Registration> registrations;
-    {
-      const obs::ScopedSpan span("stage.features", "stage", st.features_s, sim.frame_index());
-      registrations = common::parallel_map<Registration>(
-          static_cast<std::size_t>(num_cameras), [&](std::size_t c) {
-            energy::CostCounter cost;
-            const auto& frames = reg_frames[c];
-            Registration reg;
-            reg.msg.camera_id = static_cast<int>(c);
-            reg.msg.feature_dim = knowledge.extractor().dimension();
-            reg.msg.energy_budget = config.budget_per_frame;
-            reg.msg.features.reserve(frames.size() *
-                                     static_cast<std::size_t>(reg.msg.feature_dim));
-            for (std::size_t i = 0; i < frames.size(); ++i) {
-              const auto f = knowledge.extractor().extract(frames[i], &cost);
-              for (int d = 0; d < reg.msg.feature_dim; ++d) {
-                reg.msg.features.push_back(f[static_cast<std::size_t>(d)]);
-              }
-            }
-            reg.cpu_joules = config.models.cpu_model.joules(cost);
-            return reg;
-          });
-    }
-    const obs::ScopedSpan span("stage.net", "stage", st.net_s, sim.frame_index());
-    for (int c = 0; c < num_cameras; ++c) {
-      const Registration& reg = registrations[static_cast<std::size_t>(c)];
-      const std::vector<std::uint8_t> payload = encode(reg.msg);
-      double tx_joules = 0.0;
-      net::TxResult tx;
-      int attempts = 0;
-      do {
-        ++attempts;
-        // First attempt is ordinary tx; every further attempt is retry
-        // energy, attributed as such. The result accumulates per attempt so
-        // the ledger total folds in the identical doubles in the same order.
-        const obs::EnergyCause cause =
-            attempts == 1 ? obs::EnergyCause::Tx : obs::EnergyCause::Retry;
-        st.messages_sent.inc();
-        tx = network.send(net_node[static_cast<std::size_t>(c)], 0, payload,
-                          net::TxClass::Data, cause);
-        tx_joules += tx.tx_joules;
-        result.radio_joules += tx.tx_joules;
-        ledger.debit_radio(c, obs::EnergyStage::Registration, -1, cause, tx.tx_joules);
-        if (!tx.delivered) st.messages_lost.inc();
-      } while (!tx.delivered && attempts <= config.protocol.registration_retries &&
-               !network.node_down(net_node[static_cast<std::size_t>(c)]));
-      if (!tx.delivered) st.registrations_lost.inc();
-      result.cpu_joules += reg.cpu_joules;
-      ledger.debit_cpu(c, obs::EnergyStage::Registration, -1, obs::EnergyCause::Features,
-                       reg.cpu_joules);
-      if (cpu_gauges[static_cast<std::size_t>(c)] != nullptr) {
-        cpu_gauges[static_cast<std::size_t>(c)]->add(reg.cpu_joules);
-      }
-      const double reg_debit = reg.cpu_joules + tx_joules;
-      cameras[static_cast<std::size_t>(c)].battery.drain(reg_debit);
-      ledger.drain(c, reg_debit);
-      st.debit_joules.observe(reg_debit);
-    }
-  }
-  }
-
-  // Recalibration rounds.
-  bool stopped_early = false;
-  while (sim.frame_index() + stride * config.assessment_gt_frames < config.end_frame) {
-    // --- Assessment window: every camera runs every affordable algorithm on
-    // the next GT frames. (Bookkeeping cost only; the paper's Fig. 5 energy
-    // covers the operation phase — see EXPERIMENTS.md.) Each sample travels
-    // as a control message: a lost one leaves a hole and the controller
-    // estimates from the partial assessment data it actually received.
-    assessment.clear();
-    in_flight.clear();
-    // Per-round message tallies for fault-storm detection, and the round
-    // deadline: cameras owing assessment metadata must land it before
-    // `deadline_gt_frames` ground-truth frames elapse.
-    const std::uint64_t round_sent_base = st.messages_sent.value();
-    const std::uint64_t round_lost_base = st.messages_lost.value();
-    // Ledger round context plus energy bases, so the flight recorder and the
-    // anomaly detector see this round's deltas at close.
-    ledger.set_round(rounds_completed);
-    const double round_cpu_base = ledger.cpu_total();
-    const double round_radio_base = ledger.radio_total();
-    std::vector<double> round_camera_base;
-    if constexpr (obs::kEnabled) {
-      round_camera_base.resize(static_cast<std::size_t>(num_cameras));
-      for (int c = 0; c < num_cameras; ++c) {
-        round_camera_base[static_cast<std::size_t>(c)] = ledger.camera_joules(c);
-      }
-    }
-    if (watchdog.enabled()) {
-      std::set<int> expected;
-      for (int c : eligible_set()) {
-        if (controller.best_entry(c) != nullptr) expected.insert(c);
-      }
-      watchdog.arm(sim.frame_index(), stride, expected);
-    }
-    for (int f = 0; f < config.assessment_gt_frames; ++f) {
-      pump_network(sim.frame_index() + 0.5);
-      const video::MultiViewFrame frame = next_frame_timed();
-      // Gating depends only on state fixed before any of this frame's
-      // transmissions (node_down is clock-driven, batteries are not drained
-      // here), so the task lists are built up front. The fan-out is one task
-      // per camera: a camera's algorithms run sequentially over one shared
-      // FramePrecompute, so the 4-algorithm sweep computes common substrates
-      // (resizes, block grids, channels) once instead of once per algorithm.
-      struct AssessTask {
-        detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-        double threshold = 0.0;
-      };
-      std::vector<std::vector<AssessTask>> tasks(static_cast<std::size_t>(num_cameras));
-      std::vector<char> camera_up(static_cast<std::size_t>(num_cameras), 0);
-      for (int c = 0; c < num_cameras; ++c) {
-        if (camera_down(c)) continue;
-        const runtime::DegradationRung rung = ladder.rung(c);
-        if (rung == runtime::DegradationRung::Parked) continue;  // Radio dark.
-        camera_up[static_cast<std::size_t>(c)] = 1;
-        // MetadataOnly and deeper: heartbeats keep liveness, but the camera
-        // spends nothing on assessment detection.
-        if (rung >= runtime::DegradationRung::MetadataOnly) continue;
-        for (detect::AlgorithmId alg : config.controller.algorithms) {
-          const AlgorithmProfile* profile = controller.entry(c, alg);
-          if (profile == nullptr) continue;  // Over budget or not ranked.
-          tasks[static_cast<std::size_t>(c)].push_back({alg, profile->threshold});
-        }
-      }
-      std::vector<std::vector<FrameOutcome>> outcomes;
-      {
-        const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-        // One shared cache slot per camera; with batching on, the scheduler
-        // prewarms the whole round's work-list stage-major (resizes, then
-        // feature substrates, rung-by-rung across all assessed cameras)
-        // before the fan-out. The context gate — when engaged this round —
-        // prunes infeasible (scale, row band) tiles from the list up front.
-        detect::SweepScheduler batch(static_cast<std::size_t>(num_cameras), gate_opts,
-                                     static_cast<std::uint64_t>(rounds_completed));
-        for (int c = 0; c < num_cameras; ++c) {
-          for (const AssessTask& task : tasks[static_cast<std::size_t>(c)]) {
-            batch.plan(static_cast<std::size_t>(c), frame.views[static_cast<std::size_t>(c)],
-                       detector_of(task.algorithm), &sim.cameras()[static_cast<std::size_t>(c)]);
-          }
-        }
-        if (config.batch_precompute) batch.prewarm();
-        outcomes = common::parallel_map<std::vector<FrameOutcome>>(
-            static_cast<std::size_t>(num_cameras), [&](std::size_t c) {
-              std::vector<FrameOutcome> out;
-              if (tasks[c].empty()) return out;
-              detect::FramePrecompute& pre = batch.at(c);
-              out.reserve(tasks[c].size());
-              for (const AssessTask& task : tasks[c]) {
-                out.push_back(process_camera_frame(detector_of(task.algorithm), task.threshold,
-                                                   static_cast<int>(c), pre, config.models));
-              }
-              return out;
-            });
-      }
-      // Window accounting, serially in camera order (assessment sweeps count
-      // too: the camera really runs them).
-      for (const auto& camera_outcomes : outcomes) {
-        for (const FrameOutcome& outcome : camera_outcomes) {
-          result.windows_evaluated += outcome.windows_evaluated;
-          result.windows_pruned += outcome.windows_pruned;
-          st.windows_evaluated.inc(outcome.windows_evaluated);
-          st.windows_pruned.inc(outcome.windows_pruned);
-        }
-      }
-      if constexpr (obs::kEnabled) {
-        double assessed = 0.0;
-        for (const auto& camera_tasks : tasks) assessed += camera_tasks.empty() ? 0.0 : 1.0;
-        trace_instant("detect.batch", "detect", frame.index,
-                      {{"cameras", assessed},
-                       {"assessment", 1.0},
-                       {"windows_evaluated", static_cast<double>(result.windows_evaluated)},
-                       {"windows_pruned", static_cast<double>(result.windows_pruned)}});
-      }
-      // Sequential transmission phase, in the exact serial-path order:
-      // heartbeat(c), then one metadata message per assessed algorithm.
-      const obs::ScopedSpan span("stage.net", "stage", st.net_s, frame.index);
-      for (int c = 0; c < num_cameras; ++c) {
-        if (!camera_up[static_cast<std::size_t>(c)]) continue;
-        send_heartbeat(c, obs::EnergyStage::Assessment);
-        const auto& camera_tasks = tasks[static_cast<std::size_t>(c)];
-        for (std::size_t t = 0; t < camera_tasks.size(); ++t) {
-          FrameOutcome& outcome = outcomes[static_cast<std::size_t>(c)][t];
-          const net::DetectionMetadataMsg msg =
-              make_metadata_msg(c, frame.index, camera_tasks[t].algorithm, outcome);
-          st.messages_sent.inc();
-          const auto tx = network.send(net_node[static_cast<std::size_t>(c)], 0, encode(msg),
-                                       net::TxClass::Control);
-          // Assessment metadata rides the control plane (zero joules today);
-          // the debit keeps the sample traffic visible in the audit.
-          ledger.debit_radio(c, obs::EnergyStage::Assessment,
-                             static_cast<int>(camera_tasks[t].algorithm),
-                             obs::EnergyCause::Tx, tx.tx_joules);
-          if (tx.delivered) {
-            in_flight[{c, frame.index, static_cast<int>(camera_tasks[t].algorithm)}] = {
-                f, to_view_detections(c, std::move(outcome))};
-          } else {
-            st.messages_lost.inc();
-          }
-        }
-      }
-      sim.skip(stride - 1);
-      if (sim.frame_index() >= config.end_frame) break;
-    }
-    // Collect the window's remaining uploads before selecting (everything
-    // sent by frame t is delivered well before t + stride).
-    pump_network(sim.frame_index());
-
-    // Close the round at the watchdog: cameras whose assessment metadata
-    // never landed inside the deadline take a strike; enough strikes fail
-    // them out of the selection below and the round closes with the
-    // surviving coverage.
-    std::set<int> missed_this_round;
-    for (const runtime::RoundWatchdog::Miss& miss : watchdog.close()) {
-      missed_this_round.insert(miss.camera);
-      st.deadline_misses.inc();
-      trace_instant("deadline.miss", "runtime", sim.frame_index(),
-                    {{"camera", static_cast<double>(miss.camera)},
-                     {"strikes", static_cast<double>(miss.strikes)},
-                     {"failed", miss.failed ? 1.0 : 0.0}});
-    }
-    bool rung_descended = false;
-    if (ladder.enabled()) {
-      // Fault storm: a large fraction of this round's offered messages were
-      // lost (both tallies are deterministic, so the flag is too).
-      const auto& policy = config.runtime.degradation;
-      const long round_sent =
-          static_cast<long>(st.messages_sent.value()) - static_cast<long>(round_sent_base);
-      const long round_lost =
-          static_cast<long>(st.messages_lost.value()) - static_cast<long>(round_lost_base);
-      const bool storm = round_sent >= policy.storm_min_messages &&
-                         static_cast<double>(round_lost) >=
-                             policy.storm_loss_ratio * static_cast<double>(round_sent);
-      for (int c = 0; c < num_cameras; ++c) {
-        const energy::Battery& battery = cameras[static_cast<std::size_t>(c)].battery;
-        const double fraction =
-            battery.capacity() > 0.0 ? battery.residual() / battery.capacity() : 0.0;
-        // The advisory is last round's burn-rate finding for this camera
-        // (observed at the previous round close, restored on resume).
-        for (const runtime::DegradationLadder::Transition& t :
-             ladder.on_round(c, fraction, missed_this_round.count(c) > 0, storm,
-                             anomaly_detector.flagged(c))) {
-          if (t.to > t.from) {
-            st.degradation_stepdowns.inc();
-            rung_descended = true;
-          } else {
-            st.degradation_stepups.inc();
-          }
-          trace_instant("degradation.step", "runtime", sim.frame_index(),
-                        {{"camera", static_cast<double>(c)},
-                         {"from", static_cast<double>(t.from)},
-                         {"to", static_cast<double>(t.to)},
-                         {"trigger", static_cast<double>(t.trigger)}});
-        }
-      }
-    }
-
-    const std::set<int> alive = eligible_set();
-    const EecsController::Selection selection = [&] {
-      const obs::ScopedSpan span("stage.controller", "stage", st.controller_s, sim.frame_index());
-      return controller.select(assessment, config.mode, &alive);
-    }();
-    result.rounds.push_back({sim.frame_index(), selection.stats, false});
-    trace_instant("round.select", "round", sim.frame_index(),
-                  {{"midround", 0.0},
-                   {"cameras_active", static_cast<double>(selection.stats.cameras_active)},
-                   {"n_est", selection.stats.n_est},
-                   {"p_est", selection.stats.p_est}});
-
-    // Push assignments to the cameras over the network (sequence-numbered;
-    // acked on delivery, retried with backoff while unacked).
-    apply_selection(selection);
-
-    // --- Operation window.
-    for (int f = 0; f < config.operation_gt_frames; ++f) {
-      if (sim.frame_index() >= config.end_frame) break;
-      pump_network(sim.frame_index() + 0.5);
-      retry_assignments();
-      check_liveness();
-      const video::MultiViewFrame frame = next_frame_timed();
-      ++result.gt_frames_processed;
-
-      std::set<int> present;
-      for (int c = 0; c < num_cameras; ++c) {
-        for (int id : countable_ids(frame.truth[static_cast<std::size_t>(c)])) present.insert(id);
-      }
-      result.humans_present += static_cast<int>(present.size());
-
-      // Gate each camera exactly as the serial loop would (a camera only
-      // drains its own battery, so camera c's gate never depends on c' < c),
-      // fan the frame processing out, then replay transmissions and energy
-      // accounting sequentially in camera order.
-      enum class Act : char { Silent, HeartbeatOnly, Process };
-      std::vector<Act> acts(static_cast<std::size_t>(num_cameras), Act::Silent);
-      // The detector/threshold a processing camera actually runs this frame:
-      // its controller assignment, or the camera-local fallback entry when the
-      // ladder has pushed it to CheapAlgorithm or deeper.
-      struct Effective {
-        detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-        double threshold = 0.0;
-      };
-      std::vector<Effective> effective(static_cast<std::size_t>(num_cameras));
-      std::vector<int> processing;
-      for (int c = 0; c < num_cameras; ++c) {
-        CameraNode& cam = cameras[static_cast<std::size_t>(c)];
-        if (cam.battery.empty()) {
-          // Exhausted: the node is dark — no detection, no transmission.
-          if (cam.has_assignment && cam.active) st.frames_skipped.inc();
-          continue;
-        }
-        if (network.node_down(net_node[static_cast<std::size_t>(c)])) continue;
-        const runtime::DegradationRung rung = ladder.rung(c);
-        if (rung == runtime::DegradationRung::Parked) {
-          // Deepest rung: radio and detector both off until recovery.
-          st.frames_parked.inc();
-          continue;
-        }
-        effective[static_cast<std::size_t>(c)] = {cam.algorithm, cam.threshold};
-        if (rung >= runtime::DegradationRung::CheapAlgorithm &&
-            fallback[static_cast<std::size_t>(c)].valid) {
-          effective[static_cast<std::size_t>(c)] = {fallback[static_cast<std::size_t>(c)].algorithm,
-                                                    fallback[static_cast<std::size_t>(c)].threshold};
-        }
-        // SkipFrames halves the duty cycle: odd GT slots become heartbeats.
-        const bool skip_slot = rung == runtime::DegradationRung::SkipFrames &&
-                               ((frame.index / stride) & 1) != 0;
-        if (cam.has_assignment && cam.active &&
-            rung < runtime::DegradationRung::MetadataOnly && !skip_slot) {
-          acts[static_cast<std::size_t>(c)] = Act::Process;
-          processing.push_back(c);
-        } else {
-          acts[static_cast<std::size_t>(c)] = Act::HeartbeatOnly;
-        }
-      }
-      std::vector<FrameOutcome> outcomes;
-      {
-        const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-        detect::SweepScheduler batch(processing.size(), gate_opts,
-                                     static_cast<std::uint64_t>(rounds_completed));
-        for (std::size_t i = 0; i < processing.size(); ++i) {
-          const int c = processing[i];
-          const Effective& eff = effective[static_cast<std::size_t>(c)];
-          batch.plan(i, frame.views[static_cast<std::size_t>(c)], detector_of(eff.algorithm),
-                     &sim.cameras()[static_cast<std::size_t>(c)]);
-        }
-        if (config.batch_precompute) batch.prewarm();
-        outcomes = common::parallel_map<FrameOutcome>(processing.size(), [&](std::size_t i) {
-          const int c = processing[i];
-          const Effective& eff = effective[static_cast<std::size_t>(c)];
-          return process_camera_frame(detector_of(eff.algorithm), eff.threshold, c, batch.at(i),
-                                      config.models);
-        });
-      }
-      for (const FrameOutcome& outcome : outcomes) {
-        result.windows_evaluated += outcome.windows_evaluated;
-        result.windows_pruned += outcome.windows_pruned;
-        st.windows_evaluated.inc(outcome.windows_evaluated);
-        st.windows_pruned.inc(outcome.windows_pruned);
-      }
-      trace_instant("detect.batch", "detect", frame.index,
-                    {{"cameras", static_cast<double>(processing.size())},
-                     {"assessment", 0.0},
-                     {"windows_evaluated", static_cast<double>(result.windows_evaluated)},
-                     {"windows_pruned", static_cast<double>(result.windows_pruned)}});
-
-      std::set<int> detected;
-      const obs::ScopedSpan span("stage.net", "stage", st.net_s, frame.index);
-      std::size_t next_outcome = 0;
-      for (int c = 0; c < num_cameras; ++c) {
-        if (acts[static_cast<std::size_t>(c)] == Act::Silent) continue;
-        send_heartbeat(c, obs::EnergyStage::Operation);
-        if (acts[static_cast<std::size_t>(c)] != Act::Process) continue;
-        CameraNode& cam = cameras[static_cast<std::size_t>(c)];
-        const FrameOutcome& outcome = outcomes[next_outcome++];
-
-        const net::DetectionMetadataMsg msg = make_metadata_msg(
-            c, frame.index, effective[static_cast<std::size_t>(c)].algorithm, outcome);
-        st.messages_sent.inc();
-        const auto tx = network.send(net_node[static_cast<std::size_t>(c)], 0, encode(msg));
-        // JPEG crops of the detected objects ride along (charged per byte).
-        const double crop_joules =
-            config.models.radio_model.joules_per_byte * static_cast<double>(outcome.comm_bytes);
-
-        const int alg = static_cast<int>(effective[static_cast<std::size_t>(c)].algorithm);
-        const double tx_crop = tx.tx_joules + crop_joules;
-        result.cpu_joules += outcome.cpu_joules;
-        result.radio_joules += tx_crop;
-        ledger.debit_cpu(c, obs::EnergyStage::Operation, alg, obs::EnergyCause::Detect,
-                         outcome.cpu_joules);
-        ledger.debit_radio(c, obs::EnergyStage::Operation, alg, obs::EnergyCause::Tx, tx_crop);
-        if (cpu_gauges[static_cast<std::size_t>(c)] != nullptr) {
-          cpu_gauges[static_cast<std::size_t>(c)]->add(outcome.cpu_joules);
-        }
-        const double debit = outcome.cpu_joules + tx.tx_joules + crop_joules;
-        cam.battery.drain(debit);
-        ledger.drain(c, debit);
-        st.debit_joules.observe(debit);
-        trace_instant("battery.debit", "energy", frame.index,
-                      {{"camera", static_cast<double>(c)},
-                       {"joules", debit},
-                       {"residual", cam.battery.residual()}});
-
-        if (tx.delivered) {
-          const MatchResult match = match_detections(
-              outcome.detections, frame.truth[static_cast<std::size_t>(c)]);
-          for (int id : match.matched_person_ids) detected.insert(id);
-        } else {
-          // The controller never sees these detections: they don't count.
-          st.messages_lost.inc();
-        }
-      }
-      // Only persons actually present count (a matched ignore-region person
-      // cannot occur since matching skips them).
-      for (int id : detected) {
-        if (present.count(id) > 0) ++result.humans_detected;
-      }
-      sim.skip(stride - 1);
-    }
-
-    // ---- Round close, observability: fold the round into the anomaly
-    // detector (whose burn-rate flags advise next round's ladder pass), then
-    // record it in the flight recorder and dump the black box if the round
-    // tripped a watchdog strike or a ladder descent.
-    int round_anomalies = 0;
-    if constexpr (obs::kEnabled) {
-      obs::RoundObservation ob;
-      ob.round = rounds_completed;
-      ob.messages_sent = st.messages_sent.value() - round_sent_base;
-      ob.messages_lost = st.messages_lost.value() - round_lost_base;
-      ob.deadline_misses = static_cast<std::uint32_t>(missed_this_round.size());
-      ob.camera_joules.resize(static_cast<std::size_t>(num_cameras));
-      for (int c = 0; c < num_cameras; ++c) {
-        ob.camera_joules[static_cast<std::size_t>(c)] =
-            ledger.camera_joules(c) - round_camera_base[static_cast<std::size_t>(c)];
-      }
-      static constexpr const char* kAnomalyEvent[obs::kNumAnomalyKinds] = {
-          "anomaly.burn_rate", "anomaly.loss_rate", "anomaly.latency"};
-      for (const obs::Anomaly& a : anomaly_detector.observe(ob)) {
-        ++round_anomalies;
-        anomaly_counters[static_cast<int>(a.kind)]->inc();
-        trace_instant(kAnomalyEvent[static_cast<int>(a.kind)], "anomaly", sim.frame_index(),
-                      {{"camera", static_cast<double>(a.camera)},
-                       {"round", static_cast<double>(a.round)},
-                       {"value", a.value},
-                       {"threshold", a.threshold}});
-      }
-      if (flight_enabled) {
-        obs::FlightRound fr;
-        fr.round = rounds_completed;
-        fr.sim_time_s = network.now();
-        fr.selected = selection.stats.cameras_active;
-        fr.assignments = static_cast<std::int32_t>(selection.assignments.size());
-        fr.pending = static_cast<std::int32_t>(retry_queue.size());
-        fr.deadline_misses = static_cast<std::int32_t>(missed_this_round.size());
-        for (int c = 0; c < num_cameras; ++c) fr.watchdog_strikes += watchdog.strikes(c);
-        fr.messages_sent = ob.messages_sent;
-        fr.messages_lost = ob.messages_lost;
-        fr.cpu_joules = ledger.cpu_total() - round_cpu_base;
-        fr.radio_joules = ledger.radio_total() - round_radio_base;
-        fr.anomalies = round_anomalies;
-        fr.rungs.reserve(static_cast<std::size_t>(num_cameras));
-        fr.residual_j.reserve(static_cast<std::size_t>(num_cameras));
-        for (int c = 0; c < num_cameras; ++c) {
-          fr.rungs.push_back(static_cast<std::int8_t>(ladder.rung(c)));
-          fr.residual_j.push_back(cameras[static_cast<std::size_t>(c)].battery.residual());
-        }
-        flight.record(fr);
-        if (!missed_this_round.empty()) {
-          (void)flight.dump(config.runtime.flight_recorder_path, "watchdog_strike");
-        } else if (rung_descended) {
-          (void)flight.dump(config.runtime.flight_recorder_path, "ladder_descent");
-        }
-      }
-    }
-
-    ++rounds_completed;
-    // Round boundary: snapshot every K completed rounds, then honour a
-    // simulated-crash stop. Nothing runs between here and the top of the
-    // next iteration, so a resumed run re-enters the loop at exactly this
-    // program point.
-    if (config.runtime.checkpoint_every_rounds > 0 &&
-        rounds_completed % config.runtime.checkpoint_every_rounds == 0 &&
-        !config.runtime.checkpoint_path.empty()) {
-      capture_checkpoint().save(config.runtime.checkpoint_path);
-      trace_instant("runtime.checkpoint", "runtime", sim.frame_index(),
-                    {{"rounds_completed", static_cast<double>(rounds_completed)}});
-      if (flight_enabled) {
-        (void)flight.dump(config.runtime.flight_recorder_path, "checkpoint");
-      }
-    }
-    if (config.runtime.stop_after_rounds > 0 &&
-        rounds_completed >= config.runtime.stop_after_rounds) {
-      if (flight_enabled) {
-        (void)flight.dump(config.runtime.flight_recorder_path, "crash");
-      }
-      stopped_early = true;
-      break;
-    }
-  }
-
-  if (stopped_early) {
-    trace_instant("runtime.stop", "runtime", sim.frame_index(),
-                  {{"rounds_completed", static_cast<double>(rounds_completed)}});
-  }
-  // Assignments still awaiting an ack close the accounting identity:
-  // pushed == acked + abandoned + dropped + replaced + pending_at_exit.
-  st.assignments_pending.inc(static_cast<std::uint64_t>(retry_queue.size()));
-  // Receiver-side drops count as lost protocol messages, exactly like the
-  // legacy `faults.messages_lost += rx_dropped` accounting. On a resumed run
-  // the restored network state carries the full rx_dropped tally, so this
-  // single end-of-run increment never double counts (checkpoint counter
-  // deltas exclude it by construction).
-  st.messages_lost.inc(network.rx_dropped());
-  st.finalize(result);
-  if (resumed) add_fault_counters(result.faults, resumed_faults);
-  result.battery_residual.reserve(static_cast<std::size_t>(num_cameras));
-  for (const auto& cam : cameras) result.battery_residual.push_back(cam.battery.residual());
-  return result;
+  return RoundEngine(detectors, knowledge, config).run();
 }
 
 SimulationResult run_fixed_combo(const DetectorBank& detectors, const OfflineKnowledge& knowledge,
                                  const FixedCombo& combo, const FixedComboConfig& config) {
   EECS_EXPECTS(!combo.active.empty());
-  const common::ScopedThreads scoped_threads(config.threads);
-  const simd::ScopedSimd scoped_simd(config.simd);
-  obs::current()
-      .metrics()
-      .gauge("simd.dispatch.native", obs::Determinism::WallClock)
-      .set(simd::enabled() && simd::kNativeBackend ? 1.0 : 0.0);
-  const DetectorLookup detector_of(detectors);
-  const detect::ContextGateOptions gate_opts = detect::resolve_context_gate(config.context_gate);
-  video::SceneSimulator sim(video::dataset_by_id(config.dataset), config.seed);
-  const int stride = sim.environment().ground_truth_stride * config.gt_frame_step;
-  const int num_cameras = static_cast<int>(sim.cameras().size());
-
-  std::vector<energy::Battery> batteries;
-  batteries.reserve(static_cast<std::size_t>(num_cameras));
-  for (int c = 0; c < num_cameras; ++c) batteries.emplace_back(config.battery_joules);
-
-  // Per-entry profile resolution, hoisted out of the frame loop.
-  struct Entry {
-    int camera = 0;
-    detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-    const detect::Detector* detector = nullptr;
-    double threshold = 0.0;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(combo.active.size());
-  for (const auto& [camera, algorithm] : combo.active) {
-    EECS_EXPECTS(camera >= 0 && camera < num_cameras);
-    const TrainingItemProfile* item = find_profile(knowledge, config.dataset, camera);
-    EECS_EXPECTS(item != nullptr);
-    const AlgorithmProfile* profile = item->find(algorithm);
-    EECS_EXPECTS(profile != nullptr);
-    entries.push_back({camera, algorithm, &detector_of(algorithm), profile->threshold});
-  }
-
-  SimulationResult result;
-  SimTelemetry st(obs::current().metrics());
-  // Fixed combos have no rounds or protocol: every joule lands in the
-  // Operation stage under {Detect, Tx}, still subject to the conservation
-  // invariant (ledger totals == result totals, bit-exact).
-  obs::EnergyLedger& ledger = obs::current().ledger();
-  ledger.begin_run(std::vector<double>(static_cast<std::size_t>(num_cameras),
-                                       config.battery_joules));
-  sim.skip(config.start_frame);
-  while (sim.frame_index() < config.end_frame) {
-    const video::MultiViewFrame frame = [&] {
-      const obs::ScopedSpan span("stage.render", "stage", st.render_s, sim.frame_index());
-      return sim.next_frame();
-    }();
-    ++result.gt_frames_processed;
-
-    std::set<int> present;
-    for (int c = 0; c < num_cameras; ++c) {
-      for (int id : countable_ids(frame.truth[static_cast<std::size_t>(c)])) present.insert(id);
-    }
-    result.humans_present += static_cast<int>(present.size());
-
-    // Fan out the entries whose battery holds charge at the top of the frame;
-    // the sequential replay below re-checks each battery at its legacy
-    // sequence point, so an entry drained dark mid-frame (a camera listed
-    // twice) discards its speculative outcome exactly like the serial path.
-    std::vector<char> compute(entries.size(), 0);
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      compute[e] = batteries[static_cast<std::size_t>(entries[e].camera)].empty() ? 0 : 1;
-    }
-    std::vector<FrameOutcome> outcomes;
-    {
-      const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-      // One slot per (camera, algorithm) entry — a camera listed twice keeps
-      // two independent caches, matching the legacy per-entry work profile.
-      // Fixed combos have no rounds; the recovery cadence ticks per GT frame.
-      detect::SweepScheduler batch(entries.size(), gate_opts,
-                                   static_cast<std::uint64_t>(result.gt_frames_processed));
-      for (std::size_t e = 0; e < entries.size(); ++e) {
-        if (!compute[e]) continue;
-        batch.plan(e, frame.views[static_cast<std::size_t>(entries[e].camera)],
-                   *entries[e].detector,
-                   &sim.cameras()[static_cast<std::size_t>(entries[e].camera)]);
-      }
-      if (config.batch_precompute) batch.prewarm();
-      outcomes = common::parallel_map<FrameOutcome>(entries.size(), [&](std::size_t e) {
-        if (!compute[e]) return FrameOutcome{};
-        const Entry& entry = entries[e];
-        return process_camera_frame(*entry.detector, entry.threshold, entry.camera, batch.at(e),
-                                    config.models);
-      });
-    }
-    for (const FrameOutcome& outcome : outcomes) {
-      result.windows_evaluated += outcome.windows_evaluated;
-      result.windows_pruned += outcome.windows_pruned;
-      st.windows_evaluated.inc(outcome.windows_evaluated);
-      st.windows_pruned.inc(outcome.windows_pruned);
-    }
-
-    std::set<int> detected;
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const Entry& entry = entries[e];
-      energy::Battery& battery = batteries[static_cast<std::size_t>(entry.camera)];
-      if (battery.empty()) {
-        // Exhausted camera: contributes no detections and no radio energy.
-        st.frames_skipped.inc();
-        continue;
-      }
-      const FrameOutcome& outcome = outcomes[e];
-      const double radio_joules = config.models.radio_model.tx_joules(outcome.comm_bytes);
-      result.cpu_joules += outcome.cpu_joules;
-      result.radio_joules += radio_joules;
-      ledger.debit_cpu(entry.camera, obs::EnergyStage::Operation,
-                       static_cast<int>(entry.algorithm), obs::EnergyCause::Detect,
-                       outcome.cpu_joules);
-      ledger.debit_radio(entry.camera, obs::EnergyStage::Operation,
-                         static_cast<int>(entry.algorithm), obs::EnergyCause::Tx, radio_joules);
-      const double debit = outcome.cpu_joules + radio_joules;
-      battery.drain(debit);
-      ledger.drain(entry.camera, debit);
-      st.debit_joules.observe(debit);
-
-      const MatchResult match = match_detections(
-          outcome.detections, frame.truth[static_cast<std::size_t>(entry.camera)]);
-      for (int id : match.matched_person_ids) detected.insert(id);
-    }
-    for (int id : detected) {
-      if (present.count(id) > 0) ++result.humans_detected;
-    }
-    sim.skip(stride - 1);
-  }
-  st.finalize(result);
-  result.battery_residual.reserve(static_cast<std::size_t>(num_cameras));
-  for (const auto& b : batteries) result.battery_residual.push_back(b.residual());
-  return result;
+  return FixedComboRunner(detectors, knowledge, combo, config).run();
 }
 
 }  // namespace eecs::core

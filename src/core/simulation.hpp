@@ -1,8 +1,10 @@
 // Closed-loop EECS simulation (§VI-E, Figs. 5 and 6) plus the fixed
-// camera/algorithm combination runner behind Figs. 3 and 4: camera nodes
-// render frames from the scene simulator, detect with their assigned
-// algorithm, upload metadata over the simulated network, and the controller
+// camera/algorithm combination runner behind Fig. 4: camera nodes render
+// frames from the scene simulator, detect with their assigned algorithm,
+// upload metadata over the simulated network, and the controller
 // periodically re-selects cameras and algorithms from assessment metadata.
+// Both runners push every camera frame through one step (sweep, debit, human
+// tally), so a fixed combination is priced exactly like a loop frame.
 //
 // The loop is message-driven and failure-aware: the controller consumes only
 // what the network actually delivers, assignments are sequence-numbered with
@@ -89,11 +91,6 @@ struct EecsSimulationConfig {
   /// Results are bit-identical at every setting (see DESIGN.md "SIMD &
   /// portability").
   int simd = -1;
-  /// Stage-major round precompute: gather every camera's frame and run one
-  /// shared-plan resize pass per pyramid rung across the whole batch before
-  /// the per-camera fan-out (see DESIGN.md "Virtual width & batched
-  /// detection"). Bit-identical either way; off = per-camera on-demand.
-  bool batch_precompute = true;
   /// Context-aware scale/region pruning (off by default; overridable with the
   /// EECS_CONTEXT_GATE env var — see detect::resolve_context_gate). When
   /// enabled, each camera's ground-plane homography bounds the feasible
@@ -141,11 +138,10 @@ struct RoundLog {
   bool midround_recovery = false;
 };
 
-/// Robustness counters surfaced by the runners. A view over the obs metrics
-/// registry: the loop increments named counters (`net.messages.sent`,
-/// `liveness.cameras.failed`, ...) in the current telemetry session and this
-/// struct is assigned once, at the end of a run, from the registry deltas
-/// over that run. Semantics are identical to the legacy direct counting.
+/// Robustness counters surfaced by the runners. A run counts them itself and,
+/// at its end, publishes each field to its named counter in the current
+/// telemetry session (`net.messages.sent`, `liveness.cameras.failed`, ...),
+/// so the registry holds the same values.
 struct FaultCounters {
   long messages_sent = 0;      ///< Protocol messages offered to the network.
   long messages_lost = 0;      ///< ... that the network failed to deliver.
@@ -247,8 +243,6 @@ struct FixedComboConfig {
   int threads = 0;
   /// SIMD dispatch; see EecsSimulationConfig::simd.
   int simd = -1;
-  /// Stage-major round precompute; see EecsSimulationConfig::batch_precompute.
-  bool batch_precompute = true;
   /// Context-aware pruning; see EecsSimulationConfig::context_gate.
   detect::ContextGateOptions context_gate;
   int start_frame = 1000;

@@ -52,7 +52,7 @@ class Detector {
   /// The scaled-frame dimensions run() will request from a FramePrecompute
   /// for a frame of the given size — the detector's pyramid geometry with the
   /// same lround/minimum-window guards as the scan loop, identity dims
-  /// omitted (scaled() returns the frame itself there). BatchPrecompute uses
+  /// omitted (scaled() returns the frame itself there). SweepScheduler uses
   /// this to resize a whole round's frames stage-major before the fan-out.
   /// Default: empty (no prewarmable resizes; everything stays on demand).
   [[nodiscard]] virtual std::vector<std::pair<int, int>> precompute_plan(

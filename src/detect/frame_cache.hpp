@@ -62,7 +62,7 @@ class FramePrecompute {
   /// reproduces every pixel exactly).
   [[nodiscard]] const imaging::Image& scaled(int width, int height);
 
-  /// Hand over a resize computed externally (BatchPrecompute's stage-major
+  /// Hand over a resize computed externally (SweepScheduler's stage-major
   /// prewarm). `img` must be bit-identical to resize(frame, width, height);
   /// counted as the cache miss the on-demand path would have recorded, so the
   /// later scaled() lookups score as hits. Identity dims and already-cached

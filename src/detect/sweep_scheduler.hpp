@@ -2,10 +2,10 @@
 // decomposed into (camera slot, frame, scale, row band) tiles up front; the
 // SweepScheduler owns that list and drives the shared precompute stage-major
 // across the whole batch — resizes through one shared column plan per pyramid
-// rung (the former BatchPrecompute behaviour), then the feature substrates
-// (HOG block grids, ACF channel maps, census grids) rung-by-rung across all
-// cameras, so same-shape gradient and channel passes of different cameras run
-// back to back instead of interleaved per camera.
+// rung, then the feature substrates (HOG block grids, ACF channel maps,
+// census grids) rung-by-rung across all cameras, so same-shape gradient and
+// channel passes of different cameras run back to back instead of
+// interleaved per camera.
 //
 // Context gate (opt-in, off by default): each slot may carry the camera's
 // calibration (geometry::PinholeCamera). Its ground-plane homography bounds

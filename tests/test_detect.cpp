@@ -8,7 +8,6 @@
 
 #include "common/parallel.hpp"
 #include "detect/acf_detector.hpp"
-#include "detect/batch_precompute.hpp"
 #include "detect/boosting.hpp"
 #include "detect/c4_detector.hpp"
 #include "detect/calibration.hpp"
@@ -464,10 +463,10 @@ TEST(GoldenDetections, Dataset1BitExact) { expect_golden(1); }
 TEST(GoldenDetections, Dataset2BitExact) { expect_golden(2); }
 
 
-// --- BatchPrecompute: the stage-major prewarm must be invisible — same
+// --- SweepScheduler: the stage-major prewarm must be invisible — same
 // detections, same replayed energy charges as a cold per-camera cache.
 
-TEST(BatchPrecompute, PrewarmedDetectionsAndCostsMatchOnDemand) {
+TEST(SweepScheduler, PrewarmedDetectionsAndCostsMatchOnDemand) {
   const auto& detectors = trained_bank();
   // Two same-sized frames (shared resize plans) plus one odd-sized frame
   // (its own plan group).
@@ -478,31 +477,31 @@ TEST(BatchPrecompute, PrewarmedDetectionsAndCostsMatchOnDemand) {
   const imaging::Image frame_c = frame_a.crop(16, 8, frame_a.width() - 48, frame_a.height() - 24);
   const imaging::Image* frames[] = {&frame_a, &frame_b, &frame_c};
 
-  BatchPrecompute batch(3);
+  SweepScheduler sched(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    for (const auto& detector : detectors) batch.plan(i, *frames[i], *detector);
+    for (const auto& detector : detectors) sched.plan(i, *frames[i], *detector);
   }
-  batch.prewarm();
-  batch.prewarm();  // Idempotent: a second call must not disturb anything.
+  sched.prewarm();
+  sched.prewarm();  // Idempotent: a second call must not disturb anything.
 
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE("frame " + std::to_string(i));
     FramePrecompute cold(*frames[i]);
     for (const auto& detector : detectors) {
       SCOPED_TRACE(to_string(detector->id()));
-      energy::CostCounter batched_cost;
-      const auto batched = detector->detect(batch.at(i), &batched_cost);
+      energy::CostCounter sched_cost;
+      const auto got = detector->detect(sched.at(i), &sched_cost);
       energy::CostCounter cold_cost;
       const auto want = detector->detect(cold, &cold_cost);
-      EXPECT_TRUE(batched_cost == cold_cost);
-      ASSERT_EQ(batched.size(), want.size());
+      EXPECT_TRUE(sched_cost == cold_cost);
+      ASSERT_EQ(got.size(), want.size());
       for (std::size_t d = 0; d < want.size(); ++d) {
-        EXPECT_EQ(batched[d].box.x, want[d].box.x);
-        EXPECT_EQ(batched[d].box.y, want[d].box.y);
-        EXPECT_EQ(batched[d].box.w, want[d].box.w);
-        EXPECT_EQ(batched[d].box.h, want[d].box.h);
-        EXPECT_EQ(batched[d].score, want[d].score);
-        EXPECT_EQ(batched[d].probability, want[d].probability);
+        EXPECT_EQ(got[d].box.x, want[d].box.x);
+        EXPECT_EQ(got[d].box.y, want[d].box.y);
+        EXPECT_EQ(got[d].box.w, want[d].box.w);
+        EXPECT_EQ(got[d].box.h, want[d].box.h);
+        EXPECT_EQ(got[d].score, want[d].score);
+        EXPECT_EQ(got[d].probability, want[d].probability);
       }
     }
   }
@@ -750,16 +749,16 @@ TEST(SweepGate, AnchorConversionRespectsStrideAndOffset) {
   }
 }
 
-TEST(BatchPrecompute, UnplannedSlotsAreReported) {
-  BatchPrecompute batch(2);
-  EXPECT_FALSE(batch.planned(0));
-  EXPECT_FALSE(batch.planned(5));  // Out of range, not a crash.
+TEST(SweepScheduler, UnplannedSlotsAreReported) {
+  SweepScheduler sched(2);
+  EXPECT_FALSE(sched.planned(0));
+  EXPECT_FALSE(sched.planned(5));  // Out of range, not a crash.
   const auto& detectors = trained_bank();
   video::SceneSimulator sim(video::dataset_by_id(1), 4242);
   const imaging::Image frame = sim.next_frame_single(0);
-  batch.plan(1, frame, *detectors[0]);
-  EXPECT_FALSE(batch.planned(0));
-  EXPECT_TRUE(batch.planned(1));
+  sched.plan(1, frame, *detectors[0]);
+  EXPECT_FALSE(sched.planned(0));
+  EXPECT_TRUE(sched.planned(1));
 }
 
 }  // namespace

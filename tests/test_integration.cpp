@@ -3,7 +3,11 @@
 // of dataset #1. Uses reduced sampling so the whole file runs in ~a minute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/simulation.hpp"
+#include "loop_digest.hpp"
 #include "obs/telemetry.hpp"
 
 namespace eecs::core {
@@ -248,6 +252,49 @@ TEST_F(EecsIntegration, DeterministicMetricsInvariantAcrossThreadWidths) {
   // Render both through the %.17g reporter: equal strings == bit-identical.
   EXPECT_EQ(obs::MetricsRegistry::diff_report({}, serial),
             obs::MetricsRegistry::diff_report({}, wide));
+}
+
+// --- Closed-loop goldens: the %.17g report of every SimulationResult field
+// for each leg of tests/loop_digest.hpp (and the durable leg's snapshot
+// bytes), on the fixture's bank and knowledge. Regenerate with
+// tools/golden_loop after an intentional change to loop numerics.
+
+struct GoldenLoopEntry {
+  const char* name = nullptr;
+  const char* digest = nullptr;
+};
+
+constexpr GoldenLoopEntry kGoldenLoop[] = {
+#include "golden_loop.inc"
+};
+
+class GoldenLoop : public EecsIntegration {
+ protected:
+  static void expect_golden(const std::string& name, const std::string& digest) {
+    const auto golden = std::find_if(std::begin(kGoldenLoop), std::end(kGoldenLoop),
+                                     [&](const auto& g) { return name == g.name; });
+    ASSERT_NE(golden, std::end(kGoldenLoop));
+    const auto want = setup_digest::lines(golden->digest);
+    const auto got = setup_digest::lines(digest);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  }
+};
+
+TEST_F(GoldenLoop, SubsetDowngradeBitExact) {
+  expect_golden("subset_downgrade", loop_digest::subset_downgrade(bank(), knowledge()));
+}
+
+TEST_F(GoldenLoop, DurableResumeBitExact) {
+  const loop_digest::DurableDigest durable =
+      loop_digest::durable_resume(bank(), knowledge(), "test_golden_loop.snap");
+  expect_golden("durable_resume", durable.result);
+  // Under EECS_OBS_OFF the snapshot's ledger section is empty.
+  if constexpr (obs::kEnabled) expect_golden("durable_snapshot", durable.snapshot);
+}
+
+TEST_F(GoldenLoop, FixedComboBitExact) {
+  expect_golden("fixed_combo", loop_digest::fixed_combo(bank(), knowledge()));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "common/simd.hpp"
 #include "core/simulation.hpp"
 #include "obs/telemetry.hpp"
+#include "loop_digest.hpp"
 #include "setup_digest.hpp"
 
 using namespace eecs;
@@ -127,36 +128,6 @@ std::string report(const DetectorBank& bank, const OfflineKnowledge& knowledge, 
   return out;
 }
 
-/// %.17g report of every deterministic SimulationResult field, including the
-/// durable-runtime fault counters (metric lines are omitted: a resumed run's
-/// obs session only covers the resumed segment).
-std::string result_report(const SimulationResult& r) {
-  std::string out;
-  append(out, "cpu=%.17g radio=%.17g detected=%d present=%d frames=%d rounds=%zu\n", r.cpu_joules,
-         r.radio_joules, r.humans_detected, r.humans_present, r.gt_frames_processed,
-         r.rounds.size());
-  append(out, "  windows evaluated=%llu pruned=%llu\n",
-         static_cast<unsigned long long>(r.windows_evaluated),
-         static_cast<unsigned long long>(r.windows_pruned));
-  for (const auto& round : r.rounds) {
-    append(out, "  round@%d n*=%.17g p*=%.17g n=%.17g p=%.17g active=%d %s\n", round.start_frame,
-           round.stats.n_star, round.stats.p_star, round.stats.n_est, round.stats.p_est,
-           round.stats.cameras_active, round.stats.summary.c_str());
-  }
-  for (std::size_t c = 0; c < r.battery_residual.size(); ++c) {
-    append(out, "  battery[%zu]=%.17g\n", c, r.battery_residual[c]);
-  }
-  const FaultCounters& f = r.faults;
-  append(out,
-         "  faults sent=%ld lost=%ld retried=%ld abandoned=%ld pushed=%ld acked=%ld late=%ld "
-         "dropped=%ld replaced=%ld pending=%ld misses=%ld down=%ld up=%ld parked=%ld\n",
-         f.messages_sent, f.messages_lost, f.assignments_retried, f.assignments_abandoned,
-         f.assignments_pushed, f.assignments_acked, f.acks_late, f.assignments_dropped,
-         f.assignments_replaced, f.assignments_pending_at_exit, f.deadline_misses,
-         f.degradation_stepdowns, f.degradation_stepups, f.frames_parked);
-  return out;
-}
-
 /// Shared config of the checkpoint/resume invariance check: short adaptive
 /// run with lossy links, retry jitter, and a round deadline so the snapshot
 /// has to carry non-trivial protocol and watchdog state.
@@ -188,7 +159,7 @@ int check_resume(const DetectorBank& bank, const OfflineKnowledge& knowledge,
   const std::string uninterrupted = [&] {
     obs::ScopedTelemetry telemetry;
     const SimulationResult r = run_eecs_simulation(bank, knowledge, resume_config(context_gate));
-    return result_report(r) + ledger_lines(telemetry.session(), r);
+    return loop_digest::result(r) + ledger_lines(telemetry.session(), r);
   }();
 
   {
@@ -209,7 +180,7 @@ int check_resume(const DetectorBank& bank, const OfflineKnowledge& knowledge,
     cfg.runtime.resume_from = snapshot_path;
     obs::ScopedTelemetry telemetry;
     const SimulationResult r = run_eecs_simulation(bank, knowledge, cfg);
-    return result_report(r) + ledger_lines(telemetry.session(), r);
+    return loop_digest::result(r) + ledger_lines(telemetry.session(), r);
   }();
 
   if (resumed == uninterrupted) {
