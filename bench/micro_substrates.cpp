@@ -173,44 +173,12 @@ void BM_AssessmentSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_AssessmentSweep)->Arg(0)->Arg(1)->Arg(2);
 
-// The multi-camera round fan-out: all four algorithms on every camera view,
-// through the scheduler-owned work-list. on-demand = plan() only (each slot
-// computes resize + substrates lazily inside detect()); stage-major =
-// prewarm() drains the work-list rung-major, so same-shape resizes AND
-// feature substrates (block grids, channel maps, census grids) of all
-// cameras run back to back. Bit-identical results; this measures what the
-// cross-camera stage-major ordering buys. Single threaded so the submission
-// strategy is the only variable.
-void BM_WorkListSweep(benchmark::State& state) {
-  const common::ScopedThreads width(1);
-  const core::DetectorBank& detectors = bank();
-  static const std::vector<imaging::Image> frames = [] {
-    video::SceneSimulator sim(video::dataset1_lab(), 9);
-    std::vector<imaging::Image> views;
-    for (int c = 0; c < 4; ++c) views.push_back(sim.next_frame_single(c));
-    return views;
-  }();
-  const bool stage_major = state.range(0) != 0;
-  for (auto _ : state) {
-    detect::SweepScheduler sched(frames.size());
-    for (std::size_t c = 0; c < frames.size(); ++c) {
-      for (const auto& detector : detectors) sched.plan(c, frames[c], *detector);
-    }
-    if (stage_major) sched.prewarm();
-    for (std::size_t c = 0; c < frames.size(); ++c) {
-      for (const auto& detector : detectors) {
-        benchmark::DoNotOptimize(detector->detect(sched.at(c)));
-      }
-    }
-  }
-  state.SetLabel(stage_major ? "stage-major" : "on-demand");
-}
-BENCHMARK(BM_WorkListSweep)->Arg(0)->Arg(1);
-
-// The context gate on the same fan-out: gate-off sweeps every (scale, row
-// band) tile; gate-on prunes the tiles the cameras' ground-plane calibration
-// rules out before any resize/channel work (round_phase=1, a gated round).
-// Not bit-identical by design — the win is skipped work.
+// The context gate on the multi-camera round fan-out (all four algorithms on
+// every camera view, through the scheduler's work-list): gate-off sweeps
+// every (scale, row band) tile; gate-on prunes the tiles the cameras'
+// ground-plane calibration rules out before any resize/channel work
+// (round_phase=1, a gated round). Not bit-identical by design — the win is
+// skipped work. Single threaded so the gate is the only variable.
 void BM_ContextGate(benchmark::State& state) {
   const common::ScopedThreads width(1);
   const core::DetectorBank& detectors = bank();
@@ -234,7 +202,6 @@ void BM_ContextGate(benchmark::State& state) {
         sched.plan(c, scene.frames[c], *detector, &scene.cameras[c]);
       }
     }
-    sched.prewarm();
     for (std::size_t c = 0; c < scene.frames.size(); ++c) {
       for (const auto& detector : detectors) {
         benchmark::DoNotOptimize(detector->detect(sched.at(c)));

@@ -355,11 +355,12 @@ class FrameRunner {
   }
 
   /// The sweep step: plan every slot's tiles (the context gate prunes them
-  /// when it engages at `round_phase`), prewarm the work-list stage-major,
-  /// fan `process_camera_frame` out one task per slot — a slot's runs share
-  /// one FramePrecompute, so several algorithms on one camera compute common
-  /// substrates once — then fold the window accounting serially in slot order
-  /// and trace the batch. Outcomes are indexed [slot][run].
+  /// when it engages at `round_phase`), fan `process_camera_frame` out one
+  /// task per slot — a slot's runs share one FramePrecompute, which builds
+  /// its resizes and substrates on demand inside that task, so several
+  /// algorithms on one camera compute common substrates once — then fold the
+  /// window accounting serially in slot order and trace the batch. Outcomes
+  /// are indexed [slot][run].
   std::vector<std::vector<FrameOutcome>> sweep(const video::MultiViewFrame& frame,
                                                const std::vector<SweepSlot>& slots,
                                                std::uint64_t round_phase, bool assessment) {
@@ -373,7 +374,6 @@ class FrameRunner {
           batch.plan(i, frame.views[c], detector_of_(run.algorithm), &sim_.cameras()[c]);
         }
       }
-      batch.prewarm();
       outcomes = common::parallel_map<std::vector<FrameOutcome>>(slots.size(), [&](std::size_t i) {
         std::vector<FrameOutcome> out;
         if (slots[i].runs.empty()) return out;
@@ -1344,7 +1344,11 @@ runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
     entry.midround_recovery = round.midround_recovery ? 1 : 0;
     ck.rounds.push_back(std::move(entry));
   }
-  ck.fault_counters = pack_fault_counters(faults_);
+  // A resumed run's own counts start at zero; the snapshot carries the whole
+  // run's, so a later resume from it adds back every earlier segment too.
+  FaultCounters faults = faults_;
+  add_fault_counters(faults, resumed_faults_);
+  ck.fault_counters = pack_fault_counters(faults);
   ck.cameras.reserve(cameras_.size());
   for (int c = 0; c < num_cameras_; ++c) {
     const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];

@@ -217,10 +217,6 @@ void AcfDetector::train(const TrainingSet& training_set, Rng& rng) {
   fit_score_calibration(pos_scores, neg_scores);
 }
 
-void AcfDetector::prewarm_substrates(FramePrecompute& pre, int width, int height) const {
-  (void)pre.acf_channels(width, height, nullptr);
-}
-
 std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;

@@ -201,22 +201,6 @@ void C4Detector::train(const TrainingSet& training_set, Rng& rng) {
   fit_score_calibration(pos_scores, neg_scores);
 }
 
-void C4Detector::prewarm_substrates(FramePrecompute& pre, int width, int height) const {
-  constexpr int kOffsets[4][2] = {{0, 0}, {4, 0}, {0, 4}, {4, 4}};
-  const SweepGate* gate = pre.gate();
-  for (const auto& offset : kOffsets) {
-    const int ox = offset[0];
-    const int oy = offset[1];
-    if (width - ox < kWindowWidth || height - oy < kWindowHeight) continue;
-    if (gate != nullptr) {
-      // Don't build grids run() will skip: the offset's anchor band is empty.
-      const int max_cy = (height - oy) / kCensusCell - kCensusCellsY;
-      if (gated_anchor_rows(gate, width, height, kCensusCell, oy, max_cy).empty()) continue;
-    }
-    (void)pre.census_grid(width, height, ox, oy, nullptr);
-  }
-}
-
 std::vector<Detection> C4Detector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;

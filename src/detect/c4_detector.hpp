@@ -81,8 +81,6 @@ class C4Detector final : public Detector {
     return plan_scaled_dims(scales_, frame_width, frame_height);
   }
 
-  void prewarm_substrates(FramePrecompute& pre, int width, int height) const override;
-
   [[nodiscard]] std::vector<Detection> run(FramePrecompute& pre,
                                            energy::CostCounter* cost) const override;
 

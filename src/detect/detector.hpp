@@ -52,22 +52,13 @@ class Detector {
   /// The scaled-frame dimensions run() will request from a FramePrecompute
   /// for a frame of the given size — the detector's pyramid geometry with the
   /// same lround/minimum-window guards as the scan loop, identity dims
-  /// omitted (scaled() returns the frame itself there). SweepScheduler uses
-  /// this to resize a whole round's frames stage-major before the fan-out.
-  /// Default: empty (no prewarmable resizes; everything stays on demand).
+  /// omitted (scaled() returns the frame itself there). SweepScheduler
+  /// enumerates these scales into its (scale, row band) tiles, which the
+  /// context gate prunes and the work-list accounting counts. Default: empty.
   [[nodiscard]] virtual std::vector<std::pair<int, int>> precompute_plan(
       int /*frame_width*/, int /*frame_height*/) const {
     return {};
   }
-
-  /// Build the feature substrates run() would request from `pre` at the
-  /// scaled level (width, height), charging nobody: the cache records each
-  /// fresh build's cost and replays it when run() consumes the entry. The
-  /// SweepScheduler calls this rung-major across a round's cameras so
-  /// gradient and channel passes of the same shape run back to back (SoA
-  /// batching beyond the resize stage). Default: nothing to prewarm.
-  virtual void prewarm_substrates(FramePrecompute& /*pre*/, int /*width*/,
-                                  int /*height*/) const {}
 
  protected:
   /// The actual sliding-window scan; see detect(FramePrecompute&) above.

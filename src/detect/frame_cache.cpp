@@ -47,15 +47,6 @@ const imaging::Image& FramePrecompute::scaled(int width, int height) {
   return it->second;
 }
 
-void FramePrecompute::adopt_scaled(int width, int height, imaging::Image img) {
-  EECS_EXPECTS(img.width() == width && img.height() == height);
-  if (width == frame_->width() && height == frame_->height()) return;
-  const DimKey key{width, height};
-  if (scaled_.find(key) != scaled_.end()) return;
-  count_access(kScaled, /*hit=*/false);
-  scaled_.insert_or_assign(key, std::move(img));
-}
-
 const BlockGrid& FramePrecompute::block_grid(int width, int height,
                                              const features::HogParams& params,
                                              energy::CostCounter* cost) {

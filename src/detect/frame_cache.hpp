@@ -12,7 +12,8 @@
 // cost model) no matter how many hits the cache serves.
 //
 // Threading: a FramePrecompute is NOT thread-safe; use one instance per task
-// (the simulation builds one per camera inside each parallel fan-out task).
+// (the SweepScheduler keeps one per camera slot, and the simulation hands
+// each slot to one parallel fan-out task, which builds its substrates).
 #pragma once
 
 #include <cstdint>
@@ -61,13 +62,6 @@ class FramePrecompute {
   /// dimensions returns the frame itself (bilinear resize at identity scale
   /// reproduces every pixel exactly).
   [[nodiscard]] const imaging::Image& scaled(int width, int height);
-
-  /// Hand over a resize computed externally (SweepScheduler's stage-major
-  /// prewarm). `img` must be bit-identical to resize(frame, width, height);
-  /// counted as the cache miss the on-demand path would have recorded, so the
-  /// later scaled() lookups score as hits. Identity dims and already-cached
-  /// dims are ignored.
-  void adopt_scaled(int width, int height, imaging::Image img);
 
   /// Block-normalized HOG grid of scaled(width, height); shared between the
   /// HOG and LSVM detectors. Charges `cost` what a fresh build would.

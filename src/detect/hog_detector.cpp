@@ -36,10 +36,6 @@ void HogDetector::train(const TrainingSet& training_set, Rng& rng) {
   fit_score_calibration(pos_scores, neg_scores);
 }
 
-void HogDetector::prewarm_substrates(FramePrecompute& pre, int width, int height) const {
-  (void)pre.block_grid(width, height, hog_params_, nullptr);
-}
-
 std::vector<Detection> HogDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;

@@ -99,10 +99,6 @@ float LsvmDetector::window_score(const BlockGrid& grid, int cx, int cy,
   return static_cast<float>(s);
 }
 
-void LsvmDetector::prewarm_substrates(FramePrecompute& pre, int width, int height) const {
-  (void)pre.block_grid(width, height, hog_params_, nullptr);
-}
-
 std::vector<Detection> LsvmDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;

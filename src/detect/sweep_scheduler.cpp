@@ -5,12 +5,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "detect/detector.hpp"
 #include "detect/training.hpp"
-#include "imaging/filter.hpp"
 
 namespace eecs::detect {
 
@@ -133,10 +131,9 @@ void SweepScheduler::plan(std::size_t i, const imaging::Image& frame, const Dete
                           const geometry::PinholeCamera* camera) {
   EECS_EXPECTS(i < slots_.size());
   Slot& slot = slots_[i];
-  EECS_EXPECTS(slot.frame == nullptr || slot.frame == &frame);
+  EECS_EXPECTS(slot.pre == nullptr || &slot.pre->frame() == &frame);
   if (slot.pre == nullptr) {
     slot.pre = std::make_unique<FramePrecompute>(frame);
-    slot.frame = &frame;
     if (gating_ && camera != nullptr) {
       slot.gate = std::make_unique<SweepGate>(*camera, options_, frame.width(), frame.height());
       slot.pre->set_gate(slot.gate.get());
@@ -157,42 +154,6 @@ void SweepScheduler::plan(std::size_t i, const imaging::Image& frame, const Dete
     }
     tiles_planned_ += bands;
     tiles_pruned_ += bands - std::min(kept, bands);
-    if (slot.gate != nullptr && kept == 0) continue;  // Whole scale infeasible.
-    const GroupKey key{frame.width(), frame.height(), dst_w, dst_h};
-    if (slot.requested.insert(key).second) groups_[key].push_back(i);
-    rungs_[{dst_w, dst_h}].push_back({i, &detector});
-  }
-}
-
-void SweepScheduler::prewarm() {
-  // Stage 1: shared-plan resizes, one pass per surviving pyramid rung across
-  // the whole batch (the per-column index/weight tables are computed once per
-  // rung per round, and the kernels stream all frames of a rung back to
-  // back). Bit-identical to on-demand resize.
-  for (auto& [key, members] : groups_) {
-    if (members.empty()) continue;
-    const auto [src_w, src_h, dst_w, dst_h] = key;
-    (void)src_w;
-    (void)src_h;
-    std::vector<const imaging::Image*> batch;
-    batch.reserve(members.size());
-    for (std::size_t i : members) batch.push_back(slots_[i].frame);
-    std::vector<imaging::Image> resized = imaging::resize_batch(batch, dst_w, dst_h);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      slots_[members[k]].pre->adopt_scaled(dst_w, dst_h, std::move(resized[k]));
-    }
-    members.clear();  // Idempotence: a second prewarm() re-resizes nothing.
-  }
-  // Stage 2: feature substrates (block grids, channel maps, census grids),
-  // rung-major across slots in registration order. The caches record each
-  // fresh build's charge and replay it when the detectors consume the entry,
-  // so front-loading here moves wall-clock work, never joules.
-  for (auto& [rung, entries] : rungs_) {
-    const auto [dst_w, dst_h] = rung;
-    for (const auto& [i, detector] : entries) {
-      detector->prewarm_substrates(*slots_[i].pre, dst_w, dst_h);
-    }
-    entries.clear();
   }
 }
 

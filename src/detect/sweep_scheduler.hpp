@@ -1,11 +1,9 @@
 // Scheduler-owned sliding-window work-list. The round's detection work is
 // decomposed into (camera slot, frame, scale, row band) tiles up front; the
-// SweepScheduler owns that list and drives the shared precompute stage-major
-// across the whole batch — resizes through one shared column plan per pyramid
-// rung, then the feature substrates (HOG block grids, ACF channel maps,
-// census grids) rung-by-rung across all cameras, so same-shape gradient and
-// channel passes of different cameras run back to back instead of
-// interleaved per camera.
+// SweepScheduler owns that list and one FramePrecompute per slot. A slot's
+// pyramid levels and feature substrates (HOG block grids, ACF channel maps,
+// census grids) are built on demand, inside the detect() calls that charge
+// them, by whichever task the slot is handed to.
 //
 // Context gate (opt-in, off by default): each slot may carry the camera's
 // calibration (geometry::PinholeCamera). Its ground-plane homography bounds
@@ -24,16 +22,14 @@
 // width and SIMD mode: the tile decomposition only reorders work that is
 // value-independent across tiles, and the gate never engages.
 //
-// Threading: plan()/prewarm() are single-threaded setup; afterwards each slot
-// is an independent FramePrecompute, safe for one parallel task per slot.
+// Threading: plan() is single-threaded setup; afterwards each slot is an
+// independent FramePrecompute, safe for one parallel task per slot, and that
+// task builds the slot's substrates.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "detect/frame_cache.hpp"
@@ -127,19 +123,17 @@ class SweepScheduler {
   SweepScheduler& operator=(const SweepScheduler&) = delete;
   ~SweepScheduler();
 
-  /// Register slot `i` over `frame`, record the scaled dims `detector` will
-  /// request, and expand them into (scale, row band) tiles. May be called
+  /// Register slot `i` over `frame` and expand the scaled dims `detector`
+  /// will request into (scale, row band) tiles. May be called
   /// repeatedly for one slot — the assessment sweep runs several algorithms
   /// per camera — but always with the same frame. `camera` supplies the
   /// slot's calibration; null (or gate off) leaves the slot ungated.
   void plan(std::size_t i, const imaging::Image& frame, const Detector& detector,
             const geometry::PinholeCamera* camera = nullptr);
 
-  /// Drain the work-list's shared precompute stage-major: one shared-plan
-  /// resize pass per surviving pyramid rung across all slots, then the
-  /// registered detectors' feature substrates per rung in slot order.
-  /// Idempotent; skipping it leaves every slot a plain on-demand cache.
-  void prewarm();
+  /// Does nothing: every slot builds its resizes and substrates on demand
+  /// inside detect(). Kept because perfbench/eecs_perfbench.cpp calls it.
+  void prewarm() {}
 
   /// The slot's cache; requires a prior plan() for `i`.
   [[nodiscard]] FramePrecompute& at(std::size_t i);
@@ -160,22 +154,14 @@ class SweepScheduler {
  private:
   struct Slot {
     std::unique_ptr<FramePrecompute> pre;
-    const imaging::Image* frame = nullptr;
     std::unique_ptr<SweepGate> gate;
-    std::set<std::tuple<int, int, int, int>> requested;  ///< Resize-group dedup.
   };
-  // (src_w, src_h, dst_w, dst_h) -> slots wanting that resize, camera order.
-  using GroupKey = std::tuple<int, int, int, int>;
-  // (dst_w, dst_h) -> (slot, detector) substrate prewarms, registration order.
-  using RungKey = std::tuple<int, int>;
 
   ContextGateOptions options_;
   bool gating_ = false;
   std::uint64_t tiles_planned_ = 0;
   std::uint64_t tiles_pruned_ = 0;
   std::vector<Slot> slots_;
-  std::map<GroupKey, std::vector<std::size_t>> groups_;
-  std::map<RungKey, std::vector<std::pair<std::size_t, const Detector*>>> rungs_;
 };
 
 }  // namespace eecs::detect

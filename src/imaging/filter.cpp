@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "common/atan2.hpp"
@@ -270,48 +271,32 @@ void gradient_band(const Image& gray, int y0, int y1, float* mag, float* ori) {
   });
 }
 
-namespace {
-
-/// Per-output-column source indices and blend weights, plus the vertical
-/// scale. A plan depends only on (source dims, target dims), so a batch of
-/// same-sized images shares one plan.
-struct ResizePlan {
-  std::vector<int> col0;
-  std::vector<int> col1;
-  std::vector<float> colw;
-  float sy = 0.0f;
-};
-
-ResizePlan plan_resize(int src_width, int src_height, int new_width, int new_height) {
-  ResizePlan plan;
-  const float sx = static_cast<float>(src_width) / static_cast<float>(new_width);
-  plan.sy = static_cast<float>(src_height) / static_cast<float>(new_height);
+Image resize(const Image& img, int new_width, int new_height) {
+  EECS_EXPECTS(new_width >= 1 && new_height >= 1);
+  EECS_EXPECTS(!img.empty());
+  const float sx = static_cast<float>(img.width()) / static_cast<float>(new_width);
+  const float sy = static_cast<float>(img.height()) / static_cast<float>(new_height);
   // The horizontal sample position is a pure function of the output column;
   // compute each column's source indices and blend weight once (the same
   // arithmetic the per-pixel form used, so the outputs are bit-identical)
   // instead of per (channel, row, column).
-  plan.col0.resize(static_cast<std::size_t>(new_width));
-  plan.col1.resize(static_cast<std::size_t>(new_width));
-  plan.colw.resize(static_cast<std::size_t>(new_width));
-  const int xlim = src_width - 1;
+  std::vector<int> col0(static_cast<std::size_t>(new_width));
+  std::vector<int> col1(static_cast<std::size_t>(new_width));
+  std::vector<float> colw(static_cast<std::size_t>(new_width));
+  const int xlim = img.width() - 1;
   for (int x = 0; x < new_width; ++x) {
     const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
     const int x0 = static_cast<int>(std::floor(fx));
-    plan.colw[static_cast<std::size_t>(x)] = fx - static_cast<float>(x0);
-    plan.col0[static_cast<std::size_t>(x)] = std::clamp(x0, 0, xlim);
-    plan.col1[static_cast<std::size_t>(x)] = std::clamp(x0 + 1, 0, xlim);
+    colw[static_cast<std::size_t>(x)] = fx - static_cast<float>(x0);
+    col0[static_cast<std::size_t>(x)] = std::clamp(x0, 0, xlim);
+    col1[static_cast<std::size_t>(x)] = std::clamp(x0 + 1, 0, xlim);
   }
-  return plan;
-}
-
-/// Resize one image through a shared plan (dims already validated).
-Image resize_with_plan(const Image& img, const ResizePlan& plan, int new_width, int new_height) {
   Image out = Image::uninitialized(new_width, new_height, img.channels());
   const int ylim = img.height() - 1;
   simd::dispatch([&](auto isa) {
     using F4 = typename decltype(isa)::F32;
     parallel_rows(img.channels(), new_height, [&](int c, int y) {
-      const float fy = (static_cast<float>(y) + 0.5f) * plan.sy - 0.5f;
+      const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
       const int y0 = static_cast<int>(std::floor(fy));
       const float wy = fy - static_cast<float>(y0);
       const float* src = img.plane(c).data();
@@ -321,38 +306,9 @@ Image resize_with_plan(const Image& img, const ResizePlan& plan, int new_width, 
                                   static_cast<std::size_t>(img.width());
       float* dst = out.plane(c).data() +
                    static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
-      resize_row<F4>(r0, r1, plan.col0.data(), plan.col1.data(), plan.colw.data(), new_width, wy,
-                     dst);
+      resize_row<F4>(r0, r1, col0.data(), col1.data(), colw.data(), new_width, wy, dst);
     });
   });
-  return out;
-}
-
-}  // namespace
-
-Image resize(const Image& img, int new_width, int new_height) {
-  EECS_EXPECTS(new_width >= 1 && new_height >= 1);
-  EECS_EXPECTS(!img.empty());
-  const ResizePlan plan = plan_resize(img.width(), img.height(), new_width, new_height);
-  return resize_with_plan(img, plan, new_width, new_height);
-}
-
-std::vector<Image> resize_batch(std::span<const Image* const> imgs, int new_width,
-                                int new_height) {
-  EECS_EXPECTS(new_width >= 1 && new_height >= 1);
-  std::vector<Image> out;
-  out.reserve(imgs.size());
-  if (imgs.empty()) return out;
-  const Image& first = *imgs.front();
-  EECS_EXPECTS(!first.empty());
-  for (const Image* img : imgs) {
-    EECS_EXPECTS(img != nullptr && img->width() == first.width() &&
-                 img->height() == first.height() && img->channels() == first.channels());
-  }
-  const ResizePlan plan = plan_resize(first.width(), first.height(), new_width, new_height);
-  for (const Image* img : imgs) {
-    out.push_back(resize_with_plan(*img, plan, new_width, new_height));
-  }
   return out;
 }
 

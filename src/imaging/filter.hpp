@@ -1,7 +1,6 @@
 // Separable filters, gradients, and image pyramids.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "imaging/image.hpp"
@@ -35,14 +34,6 @@ void gradient_band(const Image& gray, int y0, int y1, float* mag, float* ori);
 
 /// Bilinear resize to the exact target size.
 [[nodiscard]] Image resize(const Image& img, int new_width, int new_height);
-
-/// Bilinear resize of a whole batch of same-sized images to one target size.
-/// Bit-identical to calling resize() per image (same per-pixel arithmetic);
-/// the per-column source index/weight tables are computed once and streamed
-/// across every image, so a round's cameras share the planning work. Images
-/// must all have the same dimensions and channel count.
-[[nodiscard]] std::vector<Image> resize_batch(std::span<const Image* const> imgs, int new_width,
-                                              int new_height);
 
 /// Downsample by an integer factor using block averaging (used by ACF).
 [[nodiscard]] Image block_downsample(const Image& img, int factor);

@@ -463,50 +463,6 @@ TEST(GoldenDetections, Dataset1BitExact) { expect_golden(1); }
 TEST(GoldenDetections, Dataset2BitExact) { expect_golden(2); }
 
 
-// --- SweepScheduler: the stage-major prewarm must be invisible — same
-// detections, same replayed energy charges as a cold per-camera cache.
-
-TEST(SweepScheduler, PrewarmedDetectionsAndCostsMatchOnDemand) {
-  const auto& detectors = trained_bank();
-  // Two same-sized frames (shared resize plans) plus one odd-sized frame
-  // (its own plan group).
-  video::SceneSimulator sim(video::dataset_by_id(1), 4242);
-  sim.skip(100);
-  const imaging::Image frame_a = sim.next_frame_single(0);
-  const imaging::Image frame_b = sim.next_frame_single(1);
-  const imaging::Image frame_c = frame_a.crop(16, 8, frame_a.width() - 48, frame_a.height() - 24);
-  const imaging::Image* frames[] = {&frame_a, &frame_b, &frame_c};
-
-  SweepScheduler sched(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (const auto& detector : detectors) sched.plan(i, *frames[i], *detector);
-  }
-  sched.prewarm();
-  sched.prewarm();  // Idempotent: a second call must not disturb anything.
-
-  for (std::size_t i = 0; i < 3; ++i) {
-    SCOPED_TRACE("frame " + std::to_string(i));
-    FramePrecompute cold(*frames[i]);
-    for (const auto& detector : detectors) {
-      SCOPED_TRACE(to_string(detector->id()));
-      energy::CostCounter sched_cost;
-      const auto got = detector->detect(sched.at(i), &sched_cost);
-      energy::CostCounter cold_cost;
-      const auto want = detector->detect(cold, &cold_cost);
-      EXPECT_TRUE(sched_cost == cold_cost);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t d = 0; d < want.size(); ++d) {
-        EXPECT_EQ(got[d].box.x, want[d].box.x);
-        EXPECT_EQ(got[d].box.y, want[d].box.y);
-        EXPECT_EQ(got[d].box.w, want[d].box.w);
-        EXPECT_EQ(got[d].box.h, want[d].box.h);
-        EXPECT_EQ(got[d].score, want[d].score);
-        EXPECT_EQ(got[d].probability, want[d].probability);
-      }
-    }
-  }
-}
-
 // --- SweepScheduler: with the gate off, the scheduler-owned work-list is
 // pure reordering — detections and replayed costs must be bit-identical to a
 // cold per-frame cache AND to the legacy per-window path, on awkward frame
@@ -527,8 +483,6 @@ TEST(SweepScheduler, GateOffMatchesNaivePathOnOddGeometries) {
   for (std::size_t i = 0; i < 4; ++i) {
     for (const auto& detector : detectors) sched.plan(i, *frames[i], *detector);
   }
-  sched.prewarm();
-  sched.prewarm();  // Idempotent.
   EXPECT_EQ(sched.tiles_pruned(), 0u);
 
   for (std::size_t i = 0; i < 4; ++i) {
@@ -571,7 +525,6 @@ TEST(SweepScheduler, ContextGateAccountingClosesExactly) {
   gate.enabled = true;
   SweepScheduler sched(1, gate, /*round_phase=*/1);
   for (const auto& detector : detectors) sched.plan(0, frame, *detector, &camera);
-  sched.prewarm();
   ASSERT_TRUE(sched.gating());
   EXPECT_GT(sched.tiles_pruned(), 0u);
   EXPECT_LT(sched.tiles_pruned(), sched.tiles_planned());
@@ -611,8 +564,6 @@ TEST(SweepScheduler, SingleRowBandsKeepTheAccountingIdentity) {
     sched_coarse.plan(0, frame, *detector, &camera);
     sched_fine.plan(0, frame, *detector, &camera);
   }
-  sched_coarse.prewarm();
-  sched_fine.prewarm();
 
   for (const auto& detector : detectors) {
     SCOPED_TRACE(to_string(detector->id()));
@@ -659,7 +610,6 @@ TEST(SweepScheduler, RecoveryRoundsSweepUngatedBitExactly) {
   const geometry::PinholeCamera& camera = sim.cameras()[0];
   SweepScheduler recovery(1, gate, /*round_phase=*/8);
   for (const auto& detector : detectors) recovery.plan(0, frame, *detector, &camera);
-  recovery.prewarm();
   EXPECT_EQ(recovery.tiles_pruned(), 0u);
   for (const auto& detector : detectors) {
     SCOPED_TRACE(to_string(detector->id()));

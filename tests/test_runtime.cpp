@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
+#include "loop_digest.hpp"
 #include "net/fault.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/deadline.hpp"
@@ -559,6 +561,36 @@ TEST_F(RuntimeResume, CheckpointThenResumeIsBitIdenticalToUninterrupted) {
   wrong.runtime.resume_from = path;
   wrong.seed = 778;
   EXPECT_THROW((void)run_eecs_simulation(bank(), knowledge(), wrong), SnapshotError);
+}
+
+// A resumed run that checkpoints again must carry the earlier segments'
+// fault counts into its snapshot: stop after round 1, resume and stop after
+// round 2, resume again, and the whole report equals the uninterrupted run's.
+TEST_F(RuntimeResume, ResumeTwiceIsBitIdenticalToUninterrupted) {
+  core::EecsSimulationConfig base = config();
+  base.end_frame = 3200;  // Three rounds.
+  const core::SimulationResult uninterrupted = run_eecs_simulation(bank(), knowledge(), base);
+  ASSERT_EQ(uninterrupted.rounds.size(), 3u);
+
+  const char* first = "test_runtime_resume_twice_1.snap";
+  const char* second = "test_runtime_resume_twice_2.snap";
+  core::EecsSimulationConfig segment = base;
+  segment.runtime.checkpoint_every_rounds = 1;
+  segment.runtime.checkpoint_path = first;
+  segment.runtime.stop_after_rounds = 1;
+  (void)run_eecs_simulation(bank(), knowledge(), segment);
+
+  segment.runtime.resume_from = first;
+  segment.runtime.checkpoint_path = second;
+  segment.runtime.stop_after_rounds = 2;
+  (void)run_eecs_simulation(bank(), knowledge(), segment);
+
+  core::EecsSimulationConfig last = base;
+  last.runtime.resume_from = second;
+  const core::SimulationResult resumed = run_eecs_simulation(bank(), knowledge(), last);
+  EXPECT_EQ(loop_digest::result(resumed), loop_digest::result(uninterrupted));
+  std::remove(first);
+  std::remove(second);
 }
 
 }  // namespace

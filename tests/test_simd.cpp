@@ -666,23 +666,6 @@ TEST(SimdWidths, KernelBatteryBitIdenticalAcrossAllModes) {
   }
 }
 
-TEST(SimdWidths, ResizeBatchBitIdenticalToPerImageResize) {
-  Rng rng(101);
-  const imaging::Image a = random_image(69, 43, 3, rng);
-  const imaging::Image b = random_image(69, 43, 3, rng);
-  const imaging::Image c = random_image(69, 43, 3, rng);
-  for (int mode : {0, 1, -256, -512}) {
-    SCOPED_TRACE(testing::Message() << "mode=" << mode);
-    const simd::ScopedSimd scoped(mode);
-    const imaging::Image* frames[] = {&a, &b, &c};
-    const std::vector<imaging::Image> batch = imaging::resize_batch(frames, 37, 21);
-    ASSERT_EQ(batch.size(), 3u);
-    expect_bits_eq<float>(batch[0].data(), imaging::resize(a, 37, 21).data());
-    expect_bits_eq<float>(batch[1].data(), imaging::resize(b, 37, 21).data());
-    expect_bits_eq<float>(batch[2].data(), imaging::resize(c, 37, 21).data());
-  }
-}
-
 // Pack-level A/B at every width: each available native backend against its
 // same-width emulation twin, on the rounding-edge value grid.
 TEST(SimdPacks, AllIsaF32OpsMatchSameWidthEmulation) {
