@@ -35,11 +35,6 @@ void ByteWriter::write_f32_vector(std::span<const float> v) {
   for (float x : v) write_f32(x);
 }
 
-void ByteWriter::write_f64_vector(std::span<const double> v) {
-  write_u32(static_cast<std::uint32_t>(v.size()));
-  for (double x : v) write_f64(x);
-}
-
 void ByteReader::require(std::size_t n) {
   if (remaining() < n) throw DecodeError("ByteReader: buffer underrun");
 }
@@ -91,14 +86,6 @@ std::vector<float> ByteReader::read_f32_vector() {
   require(static_cast<std::size_t>(n) * 4);
   std::vector<float> v(n);
   for (auto& x : v) x = read_f32();
-  return v;
-}
-
-std::vector<double> ByteReader::read_f64_vector() {
-  const std::uint32_t n = read_u32();
-  require(static_cast<std::size_t>(n) * 8);
-  std::vector<double> v(n);
-  for (auto& x : v) x = read_f64();
   return v;
 }
 

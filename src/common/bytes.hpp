@@ -25,7 +25,6 @@ class ByteWriter {
   void write_bytes(std::span<const std::uint8_t> bytes);
   void write_string(const std::string& s);
   void write_f32_vector(std::span<const float> v);
-  void write_f64_vector(std::span<const double> v);
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -55,7 +54,6 @@ class ByteReader {
   double read_f64();
   std::string read_string();
   std::vector<float> read_f32_vector();
-  std::vector<double> read_f64_vector();
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -42,9 +43,7 @@ void trace_instant(const char* name, const char* cat, double sim_time,
 }
 
 /// The FaultCounters field list: each field's registry counter and member,
-/// in the order of a snapshot's "counters" section. That order is a wire
-/// format and append-only: new fields go at the end so snapshots from older
-/// builds (shorter vectors) still resume.
+/// in the order of a snapshot's "counters" section.
 template <typename Fn>
 void for_each_fault_field(Fn&& fn) {
   fn("net.messages.sent", &FaultCounters::messages_sent);
@@ -76,18 +75,47 @@ std::vector<std::int64_t> pack_fault_counters(const FaultCounters& f) {
 }
 
 FaultCounters unpack_fault_counters(const std::vector<std::int64_t>& v) {
+  if (v.size() != pack_fault_counters({}).size()) {
+    throw runtime::SnapshotError("resume: snapshot fault counters disagree with this build's");
+  }
   FaultCounters f;
-  std::size_t i = 0;
+  auto next = v.begin();
   for_each_fault_field([&](const char*, auto member) {
     using Field = std::remove_reference_t<decltype(f.*member)>;
-    if (i < v.size()) f.*member = static_cast<Field>(v[i]);
-    ++i;
+    f.*member = static_cast<Field>(*next++);
   });
   return f;
 }
 
 void add_fault_counters(FaultCounters& dst, const FaultCounters& src) {
   for_each_fault_field([&](const char*, auto member) { dst.*member += src.*member; });
+}
+
+// Canonical text of a config field's value for the config record: %.17g
+// round-trips a double, so equal text means an equal value.
+std::string config_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+template <typename T>
+std::string config_text(const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    return std::to_string(static_cast<long long>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, net::LossWindow>) {
+    const auto& [start, end, loss_probability, node] = v;  // Every member, or no build.
+    return "{" + config_text(start) + "," + config_text(end) + "," +
+           config_text(loss_probability) + "," + config_text(node) + "}";
+  } else if constexpr (std::is_same_v<T, net::CrashWindow>) {
+    const auto& [node, start, end] = v;
+    return "{" + config_text(node) + "," + config_text(start) + "," + config_text(end) + "}";
+  } else {
+    std::string out = "[";
+    for (const auto& e : v) out += (out.size() > 1 ? "," : "") + config_text(e);
+    return out + "]";
+  }
 }
 
 /// Registry side of the SimulationResult façades. A run counts its
@@ -530,7 +558,6 @@ class RoundEngine : FrameRunner {
   [[nodiscard]] bool camera_down(int c) const;
 
   // ---- Checkpoint capture and resume.
-  [[nodiscard]] runtime::SimulationCheckpoint::ConfigGuard config_guard() const;
   [[nodiscard]] runtime::SimulationCheckpoint capture_checkpoint() const;
   void resume();
 
@@ -1301,27 +1328,12 @@ bool RoundEngine::camera_down(int c) const {
   return batteries_[static_cast<std::size_t>(c)].empty() || network_.node_down(node_of(c));
 }
 
-runtime::SimulationCheckpoint::ConfigGuard RoundEngine::config_guard() const {
-  runtime::SimulationCheckpoint::ConfigGuard guard;
-  guard.dataset = config_.dataset;
-  guard.seed = config_.seed;
-  guard.mode = static_cast<std::int32_t>(config_.mode);
-  guard.start_frame = config_.start_frame;
-  guard.end_frame = config_.end_frame;
-  guard.assessment_gt_frames = config_.assessment_gt_frames;
-  guard.operation_gt_frames = config_.operation_gt_frames;
-  guard.gt_frame_step = config_.gt_frame_step;
-  guard.num_cameras = num_cameras_;
-  guard.budget_per_frame = config_.budget_per_frame;
-  guard.battery_joules = config_.battery_joules;
-  return guard;
-}
-
 // A full snapshot of the loop state, taken at a round boundary (assessment
 // data and in-flight samples are empty there).
 runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
   runtime::SimulationCheckpoint ck;
-  ck.guard = config_guard();
+  ck.num_cameras = num_cameras_;
+  ck.config = config_record(config_);
   ck.frame_index = sim_.frame_index();
   ck.rounds_completed = rounds_completed_;
   ck.cpu_joules = result_.cpu_joules;
@@ -1384,10 +1396,7 @@ runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
 void RoundEngine::resume() {
   const runtime::SimulationCheckpoint ck =
       runtime::SimulationCheckpoint::load(config_.runtime.resume_from);
-  if (!(ck.guard == config_guard())) {
-    throw runtime::SnapshotError(
-        "resume: snapshot was taken under a different simulation configuration");
-  }
+  ck.check_config(num_cameras_, config_record(config_));
   // The scene is a pure function of (environment, seed, #advances):
   // replaying the advances restores its RNG stream exactly.
   sim_.skip(ck.frame_index);
@@ -1441,12 +1450,9 @@ void RoundEngine::resume() {
   rounds_completed_ = ck.rounds_completed;
   // Restore the audit ledger and anomaly windows captured with the
   // snapshot, so the resumed run's conservation check covers the whole run
-  // and the detector replays identical findings. Guarded: a snapshot from
-  // a pre-ledger build simply restarts both empty.
-  if (ck.ledger.mirror_residual.size() == static_cast<std::size_t>(num_cameras_)) {
-    ledger_.import_state(ck.ledger);
-    anomaly_detector_.import_state(ck.anomaly);
-  }
+  // and the detector replays identical findings.
+  ledger_.import_state(ck.ledger);
+  anomaly_detector_.import_state(ck.anomaly);
   trace_instant("runtime.resume", "runtime", sim_.frame_index(),
                 {{"rounds_completed", static_cast<double>(rounds_completed_)}});
 }
@@ -1520,6 +1526,16 @@ class FixedComboRunner : FrameRunner {
 };
 
 }  // namespace
+
+runtime::ConfigRecord config_record(const EecsSimulationConfig& config) {
+  EecsSimulationConfig resolved = config;
+  resolved.context_gate = detect::resolve_context_gate(config.context_gate);
+  runtime::ConfigRecord record;
+  for_each_config_field(resolved, [&](const char* name, const auto& field) {
+    record.push_back({name, config_text(field)});
+  });
+  return record;
+}
 
 reid::ColorGate fit_color_gate(int dataset, std::uint64_t seed, int calibration_frames) {
   video::SceneSimulator sim(video::dataset_by_id(dataset), seed);

@@ -15,13 +15,16 @@
 // fire-and-forget loop.
 #pragma once
 
+#include <concepts>
 #include <string>
+#include <type_traits>
 
 #include "core/controller.hpp"
 #include "detect/sweep_scheduler.hpp"
 #include "net/fault.hpp"
 #include "net/network.hpp"
 #include "obs/anomaly.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/degradation.hpp"
 
 namespace eecs::core {
@@ -129,6 +132,102 @@ struct EecsSimulationConfig {
   ProtocolOptions protocol;
   RuntimeOptions runtime;
 };
+
+/// The loop configuration's field list: calls `fn(name, field)` for every
+/// field of EecsSimulationConfig and its nested structs, except the
+/// execution-only ones in kExecutionOnlyConfigFields. `Config` is
+/// EecsSimulationConfig, const or not. The snapshot's config record is built
+/// from this list, so resume refuses a change to any field it names.
+template <typename Config, typename Fn>
+  requires std::same_as<std::remove_const_t<Config>, EecsSimulationConfig>
+void for_each_config_field(Config& c, Fn&& fn) {
+  fn("dataset", c.dataset);
+  fn("seed", c.seed);
+  fn("context_gate.enabled", c.context_gate.enabled);
+  fn("context_gate.min_height_ratio", c.context_gate.min_height_ratio);
+  fn("context_gate.max_height_ratio", c.context_gate.max_height_ratio);
+  fn("context_gate.person_min_m", c.context_gate.person_min_m);
+  fn("context_gate.person_max_m", c.context_gate.person_max_m);
+  fn("context_gate.band_rows", c.context_gate.band_rows);
+  fn("context_gate.recovery_every", c.context_gate.recovery_every);
+  fn("mode", c.mode);
+  fn("budget_per_frame", c.budget_per_frame);
+  fn("controller.gamma_n", c.controller.gamma_n);
+  fn("controller.gamma_p", c.controller.gamma_p);
+  fn("controller.algorithms", c.controller.algorithms);
+  fn("start_frame", c.start_frame);
+  fn("end_frame", c.end_frame);
+  fn("assessment_gt_frames", c.assessment_gt_frames);
+  fn("operation_gt_frames", c.operation_gt_frames);
+  fn("gt_frame_step", c.gt_frame_step);
+  fn("upload_feature_frames", c.upload_feature_frames);
+  fn("models.frames_per_item", c.models.frames_per_item);
+  fn("models.feature_frames_per_item", c.models.feature_frames_per_item);
+  fn("models.algorithms", c.models.algorithms);
+  fn("models.cpu_model.joules_per_pixel_op", c.models.cpu_model.joules_per_pixel_op);
+  fn("models.cpu_model.joules_per_feature_op", c.models.cpu_model.joules_per_feature_op);
+  fn("models.cpu_model.joules_per_classifier_op", c.models.cpu_model.joules_per_classifier_op);
+  fn("models.cpu_model.joules_fixed_per_frame", c.models.cpu_model.joules_fixed_per_frame);
+  fn("models.cpu_model.ops_per_second", c.models.cpu_model.ops_per_second);
+  fn("models.radio_model.joules_per_byte", c.models.radio_model.joules_per_byte);
+  fn("models.radio_model.joules_per_message", c.models.radio_model.joules_per_message);
+  fn("models.radio_model.bytes_per_second", c.models.radio_model.bytes_per_second);
+  fn("models.jpeg_model.base_bpp", c.models.jpeg_model.base_bpp);
+  fn("models.jpeg_model.activity_bpp", c.models.jpeg_model.activity_bpp);
+  fn("models.jpeg_model.header_bytes", c.models.jpeg_model.header_bytes);
+  fn("models.comparator.subspace_dim", c.models.comparator.subspace_dim);
+  fn("models.comparator.distance_scale", c.models.comparator.distance_scale);
+  fn("battery_joules", c.battery_joules);
+  fn("uplink.bandwidth_bytes_per_s", c.uplink.bandwidth_bytes_per_s);
+  fn("uplink.latency_s", c.uplink.latency_s);
+  fn("uplink.loss_probability", c.uplink.loss_probability);
+  fn("downlink.bandwidth_bytes_per_s", c.downlink.bandwidth_bytes_per_s);
+  fn("downlink.latency_s", c.downlink.latency_s);
+  fn("downlink.loss_probability", c.downlink.loss_probability);
+  fn("faults.uplink_loss", c.faults.uplink_loss);
+  fn("faults.downlink_loss", c.faults.downlink_loss);
+  fn("faults.loss_windows", c.faults.loss_windows);
+  fn("faults.crashes", c.faults.crashes);
+  fn("protocol.max_assignment_retries", c.protocol.max_assignment_retries);
+  fn("protocol.registration_retries", c.protocol.registration_retries);
+  fn("protocol.liveness_timeout_gt_frames", c.protocol.liveness_timeout_gt_frames);
+  fn("protocol.retry_jitter_fraction", c.protocol.retry_jitter_fraction);
+  fn("runtime.round_deadline_gt_frames", c.runtime.round_deadline_gt_frames);
+  fn("runtime.deadline_strikes_to_fail", c.runtime.deadline_strikes_to_fail);
+  fn("runtime.degradation.enabled", c.runtime.degradation.enabled);
+  fn("runtime.degradation.battery_low", c.runtime.degradation.battery_low);
+  fn("runtime.degradation.battery_critical", c.runtime.degradation.battery_critical);
+  fn("runtime.degradation.battery_severe", c.runtime.degradation.battery_severe);
+  fn("runtime.degradation.battery_park", c.runtime.degradation.battery_park);
+  fn("runtime.degradation.storm_loss_ratio", c.runtime.degradation.storm_loss_ratio);
+  fn("runtime.degradation.storm_min_messages", c.runtime.degradation.storm_min_messages);
+  fn("runtime.degradation.recovery_rounds", c.runtime.degradation.recovery_rounds);
+  fn("runtime.degradation.anomaly_advisory", c.runtime.degradation.anomaly_advisory);
+  fn("runtime.anomaly.enabled", c.runtime.anomaly.enabled);
+  fn("runtime.anomaly.window_rounds", c.runtime.anomaly.window_rounds);
+  fn("runtime.anomaly.burn_rate_milli", c.runtime.anomaly.burn_rate_milli);
+  fn("runtime.anomaly.loss_rate_milli", c.runtime.anomaly.loss_rate_milli);
+  fn("runtime.anomaly.loss_min_messages", c.runtime.anomaly.loss_min_messages);
+  fn("runtime.anomaly.latency_miss_rounds", c.runtime.anomaly.latency_miss_rounds);
+}
+
+/// The fields for_each_config_field leaves out: results are bit-identical
+/// under any setting of them.
+inline constexpr const char* kExecutionOnlyConfigFields[] = {
+    "threads",
+    "simd",
+    "runtime.checkpoint_every_rounds",
+    "runtime.checkpoint_path",
+    "runtime.resume_from",
+    "runtime.stop_after_rounds",
+    "runtime.flight_recorder_path",
+    "runtime.flight_recorder_rounds",
+};
+
+/// The snapshot's config record: each for_each_config_field field as text
+/// (doubles as %.17g), with the context gate as detect::resolve_context_gate
+/// resolves it, since EECS_CONTEXT_GATE changes results too.
+[[nodiscard]] runtime::ConfigRecord config_record(const EecsSimulationConfig& config);
 
 struct RoundLog {
   int start_frame = 0;

@@ -1,384 +1,265 @@
 #include "runtime/checkpoint.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
+
+#include "detect/detection.hpp"
 #include "runtime/snapshot.hpp"
 
 namespace eecs::runtime {
 
 namespace {
 
-void write_payload(ByteWriter& w, const std::vector<std::uint8_t>& payload) {
-  w.write_u32(static_cast<std::uint32_t>(payload.size()));
-  w.write_bytes(payload);
+using Ck = SimulationCheckpoint;
+
+// ---- Field lists, one per persisted struct, in wire order. The generic
+// transfer below walks the same list to write and to read, so each struct's
+// encoding is stated once.
+
+template <typename T>
+using Of = std::type_identity<T>;
+
+constexpr auto fields(Of<ConfigField>) {
+  return std::tuple{&ConfigField::name, &ConfigField::value};
+}
+constexpr auto fields(Of<Ck::RoundLogState>) {
+  using S = Ck::RoundLogState;
+  return std::tuple{&S::start_frame, &S::n_star,         &S::p_star,  &S::n_est,
+                    &S::p_est,       &S::cameras_active, &S::summary, &S::midround_recovery};
+}
+constexpr auto fields(Of<Ck::CameraState>) {
+  using S = Ck::CameraState;
+  return std::tuple{&S::battery_residual, &S::has_assignment,   &S::active,
+                    &S::algorithm,        &S::threshold,        &S::applied_sequence,
+                    &S::deadline_strikes, &S::ladder};
+}
+constexpr auto fields(Of<DegradationLadder::CameraState>) {
+  using S = DegradationLadder::CameraState;
+  return std::tuple{&S::battery_floor, &S::stress_rung, &S::clean_rounds};
+}
+constexpr auto fields(Of<Ck::Registration>) {
+  return std::tuple{&Ck::Registration::camera, &Ck::Registration::matched_item,
+                    &Ck::Registration::budget};
+}
+constexpr auto fields(Of<LivenessTracker::State>) {
+  return std::tuple{&LivenessTracker::State::last_heard, &LivenessTracker::State::presumed_alive};
+}
+constexpr auto fields(Of<Ck::PendingEntry>) {
+  return std::tuple{&Ck::PendingEntry::camera, &Ck::PendingEntry::entry};
+}
+constexpr auto fields(Of<AssignmentRetryQueue::Entry>) {
+  using S = AssignmentRetryQueue::Entry;
+  return std::tuple{&S::sequence, &S::attempts, &S::next_retry, &S::payload};
+}
+constexpr auto fields(Of<Rng::State>) {
+  return std::tuple{&Rng::State::words, &Rng::State::have_cached_normal,
+                    &Rng::State::cached_normal};
+}
+constexpr auto fields(Of<net::Network::State>) {
+  using S = net::Network::State;
+  return std::tuple{&S::now,        &S::sequence,   &S::rx_dropped, &S::rng,
+                    &S::node_radio_joules, &S::node_bytes, &S::queue};
+}
+constexpr auto fields(Of<net::Network::QueuedMessage>) {
+  using S = net::Network::QueuedMessage;
+  return std::tuple{&S::time, &S::sequence, &S::from_node, &S::to_node, &S::payload};
+}
+constexpr auto fields(Of<obs::EnergyLedger::State>) {
+  using S = obs::EnergyLedger::State;
+  return std::tuple{&S::cpu_total,     &S::radio_total,     &S::exact_total,
+                    &S::debits,        &S::camera_joules,   &S::mirror_residual,
+                    &S::mirror_capacity, &S::entries};
+}
+constexpr auto fields(Of<obs::ExactJoules>) {
+  return std::tuple{&obs::ExactJoules::limb, &obs::ExactJoules::inexact};
+}
+constexpr auto fields(Of<obs::LedgerKey>) {
+  using S = obs::LedgerKey;
+  return std::tuple{&S::camera, &S::round, &S::stage, &S::algorithm, &S::cause};
+}
+constexpr auto fields(Of<obs::LedgerEntry>) {
+  return std::tuple{&obs::LedgerEntry::joules, &obs::LedgerEntry::debits, &obs::LedgerEntry::exact};
+}
+constexpr auto fields(Of<obs::AnomalyDetector::State>) {
+  using S = obs::AnomalyDetector::State;
+  return std::tuple{&S::rounds_seen,   &S::window_sent,   &S::window_lost,
+                    &S::window_misses, &S::window_joules, &S::last_flags};
 }
 
-std::vector<std::uint8_t> read_payload(ByteReader& r) {
-  const std::uint32_t n = r.read_u32();
-  if (n > r.remaining()) throw SnapshotError("checkpoint: payload length exceeds section");
-  std::vector<std::uint8_t> payload(n);
-  for (std::uint32_t i = 0; i < n; ++i) payload[i] = r.read_u8();
-  return payload;
+/// The section table: each section's name and the checkpoint members it
+/// holds, in wire order.
+template <typename Fn>
+void for_each_section(Fn&& fn) {
+  fn("config", &Ck::num_cameras, &Ck::config);
+  fn("progress", &Ck::frame_index, &Ck::rounds_completed, &Ck::cpu_joules, &Ck::radio_joules,
+     &Ck::humans_detected, &Ck::humans_present, &Ck::gt_frames_processed);
+  fn("context_gate", &Ck::windows_evaluated, &Ck::windows_pruned);
+  fn("rounds", &Ck::rounds);
+  fn("counters", &Ck::fault_counters);
+  fn("cameras", &Ck::cameras);
+  fn("registrations", &Ck::registrations);
+  fn("liveness", &Ck::liveness, &Ck::controller_active);
+  fn("pending", &Ck::next_sequence, &Ck::pending);
+  fn("network", &Ck::network);
+  fn("obs.ledger", &Ck::ledger);
+  fn("obs.anomaly", &Ck::anomaly);
 }
 
-/// Bounded element count for a variable-length array: each element needs at
-/// least `min_bytes`, so a corrupt count cannot force a huge allocation.
-std::uint32_t read_count(ByteReader& r, std::size_t min_bytes) {
-  const std::uint32_t n = r.read_u32();
-  if (min_bytes > 0 && static_cast<std::size_t>(n) * min_bytes > r.remaining()) {
-    throw SnapshotError("checkpoint: element count exceeds section size");
+// The wire format: integers (bool and enums included) little-endian at their
+// own width, doubles as IEEE bits, strings and vectors behind a u32 count,
+// fixed-size arrays and pairs element by element, structs field by field.
+// `io` is a Writer (T const) or a Reader.
+template <typename Io, typename T>
+void transfer(Io& io, T& v) {
+  using U = std::remove_const_t<T>;
+  if constexpr (std::is_arithmetic_v<U> || std::is_enum_v<U>) {
+    io.scalar(v);
+  } else if constexpr (std::is_same_v<U, std::string>) {
+    io.string(v);
+  } else if constexpr (requires(U& u) { u.resize(0); }) {
+    io.count(v);
+    for (auto& e : v) transfer(io, e);
+  } else if constexpr (requires(U& u) { std::size(u); }) {
+    for (auto& e : v) transfer(io, e);
+  } else if constexpr (requires(U& u) { u.second; }) {
+    transfer(io, v.first);
+    transfer(io, v.second);
+  } else {
+    std::apply([&](auto... member) { (transfer(io, v.*member), ...); }, fields(Of<U>{}));
   }
-  return n;
+}
+
+struct Writer {
+  ByteWriter& out;
+
+  template <typename T>
+  void scalar(T v) {
+    static_assert(!std::is_floating_point_v<T> || std::is_same_v<T, double>);
+    static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+    if constexpr (std::is_same_v<T, double>) out.write_f64(v);
+    else if constexpr (sizeof(T) == 1) out.write_u8(static_cast<std::uint8_t>(v));
+    else if constexpr (sizeof(T) == 4) out.write_u32(static_cast<std::uint32_t>(v));
+    else out.write_u64(static_cast<std::uint64_t>(v));
+  }
+  void string(const std::string& s) { out.write_string(s); }
+  template <typename V>
+  void count(const V& v) { out.write_u32(static_cast<std::uint32_t>(v.size())); }
+};
+
+/// Smallest encoding of a T: that of a default-constructed one (every
+/// vector and string empty).
+template <typename T>
+std::size_t min_encoded_size() {
+  static const std::size_t size = [] {
+    ByteWriter out;
+    Writer writer{out};
+    const T value{};
+    transfer(writer, value);
+    return out.size();
+  }();
+  return size;
+}
+
+struct Reader {
+  ByteReader& in;
+
+  template <typename T>
+  void scalar(T& v) {
+    if constexpr (std::is_same_v<T, double>) v = in.read_f64();
+    else if constexpr (sizeof(T) == 1) v = static_cast<T>(in.read_u8());
+    else if constexpr (sizeof(T) == 4) v = static_cast<T>(in.read_u32());
+    else v = static_cast<T>(in.read_u64());
+  }
+  void string(std::string& s) { s = in.read_string(); }
+  /// Reads a vector's count and sizes it, bounding the count by the bytes
+  /// its elements need before allocating anything.
+  template <typename V>
+  void count(V& v) {
+    const std::uint32_t n = in.read_u32();
+    if (std::size_t{n} * min_encoded_size<typename V::value_type>() > in.remaining()) {
+      throw SnapshotError("checkpoint: element count exceeds section size");
+    }
+    v.resize(n);
+  }
+};
+
+void require(bool ok, const char* what) {
+  if (!ok) throw SnapshotError(std::string("checkpoint: ") + what);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> SimulationCheckpoint::encode() const {
   SnapshotWriter snapshot;
-
-  ByteWriter& cfg = snapshot.section("config");
-  cfg.write_i32(guard.dataset);
-  cfg.write_u64(guard.seed);
-  cfg.write_i32(guard.mode);
-  cfg.write_i32(guard.start_frame);
-  cfg.write_i32(guard.end_frame);
-  cfg.write_i32(guard.assessment_gt_frames);
-  cfg.write_i32(guard.operation_gt_frames);
-  cfg.write_i32(guard.gt_frame_step);
-  cfg.write_i32(guard.num_cameras);
-  cfg.write_f64(guard.budget_per_frame);
-  cfg.write_f64(guard.battery_joules);
-
-  ByteWriter& progress = snapshot.section("progress");
-  progress.write_i32(frame_index);
-  progress.write_u64(static_cast<std::uint64_t>(rounds_completed));
-  progress.write_f64(cpu_joules);
-  progress.write_f64(radio_joules);
-  progress.write_i32(humans_detected);
-  progress.write_i32(humans_present);
-  progress.write_i32(gt_frames_processed);
-
-  ByteWriter& gate = snapshot.section("context_gate");
-  gate.write_u64(windows_evaluated);
-  gate.write_u64(windows_pruned);
-
-  ByteWriter& rounds_w = snapshot.section("rounds");
-  rounds_w.write_u32(static_cast<std::uint32_t>(rounds.size()));
-  for (const RoundLogState& round : rounds) {
-    rounds_w.write_i32(round.start_frame);
-    rounds_w.write_f64(round.n_star);
-    rounds_w.write_f64(round.p_star);
-    rounds_w.write_f64(round.n_est);
-    rounds_w.write_f64(round.p_est);
-    rounds_w.write_i32(round.cameras_active);
-    rounds_w.write_string(round.summary);
-    rounds_w.write_u8(round.midround_recovery);
-  }
-
-  ByteWriter& counters = snapshot.section("counters");
-  counters.write_u32(static_cast<std::uint32_t>(fault_counters.size()));
-  for (std::int64_t v : fault_counters) counters.write_u64(static_cast<std::uint64_t>(v));
-
-  ByteWriter& cams = snapshot.section("cameras");
-  cams.write_u32(static_cast<std::uint32_t>(cameras.size()));
-  for (const CameraState& cam : cameras) {
-    cams.write_f64(cam.battery_residual);
-    cams.write_u8(cam.has_assignment);
-    cams.write_u8(cam.active);
-    cams.write_i32(cam.algorithm);
-    cams.write_f64(cam.threshold);
-    cams.write_u32(cam.applied_sequence);
-    cams.write_i32(cam.deadline_strikes);
-    cams.write_i32(cam.ladder.battery_floor);
-    cams.write_i32(cam.ladder.stress_rung);
-    cams.write_i32(cam.ladder.clean_rounds);
-  }
-
-  ByteWriter& regs = snapshot.section("registrations");
-  regs.write_u32(static_cast<std::uint32_t>(registrations.size()));
-  for (const Registration& reg : registrations) {
-    regs.write_i32(reg.camera);
-    regs.write_i32(reg.matched_item);
-    regs.write_f64(reg.budget);
-  }
-
-  ByteWriter& live = snapshot.section("liveness");
-  live.write_f64_vector(liveness.last_heard);
-  live.write_u32(static_cast<std::uint32_t>(liveness.presumed_alive.size()));
-  for (std::uint8_t alive : liveness.presumed_alive) live.write_u8(alive);
-  live.write_u32(static_cast<std::uint32_t>(controller_active.size()));
-  for (std::int32_t camera : controller_active) live.write_i32(camera);
-
-  ByteWriter& pend = snapshot.section("pending");
-  pend.write_u32(next_sequence);
-  pend.write_u32(static_cast<std::uint32_t>(pending.size()));
-  for (const PendingEntry& p : pending) {
-    pend.write_i32(p.camera);
-    pend.write_u32(p.entry.sequence);
-    pend.write_i32(p.entry.attempts);
-    pend.write_f64(p.entry.next_retry);
-    write_payload(pend, p.entry.payload);
-  }
-
-  ByteWriter& net_w = snapshot.section("network");
-  net_w.write_f64(network.now);
-  net_w.write_u64(network.sequence);
-  net_w.write_u64(network.rx_dropped);
-  for (std::uint64_t word : network.rng.words) net_w.write_u64(word);
-  net_w.write_u8(network.rng.have_cached_normal ? 1 : 0);
-  net_w.write_f64(network.rng.cached_normal);
-  net_w.write_f64_vector(network.node_radio_joules);
-  net_w.write_u32(static_cast<std::uint32_t>(network.node_bytes.size()));
-  for (std::uint64_t bytes : network.node_bytes) net_w.write_u64(bytes);
-  net_w.write_u32(static_cast<std::uint32_t>(network.queue.size()));
-  for (const net::Network::QueuedMessage& msg : network.queue) {
-    net_w.write_f64(msg.time);
-    net_w.write_u64(msg.sequence);
-    net_w.write_i32(msg.from_node);
-    net_w.write_i32(msg.to_node);
-    write_payload(net_w, msg.payload);
-  }
-
-  ByteWriter& led = snapshot.section("obs.ledger");
-  led.write_f64(ledger.cpu_total);
-  led.write_f64(ledger.radio_total);
-  for (std::uint64_t limb : ledger.exact_total.limb) led.write_u64(limb);
-  led.write_u8(ledger.exact_total.inexact ? 1 : 0);
-  led.write_u64(ledger.debits);
-  led.write_f64_vector(ledger.camera_joules);
-  led.write_f64_vector(ledger.mirror_residual);
-  led.write_f64_vector(ledger.mirror_capacity);
-  led.write_u32(static_cast<std::uint32_t>(ledger.entries.size()));
-  for (const auto& [key, entry] : ledger.entries) {
-    led.write_i32(key.camera);
-    led.write_u64(static_cast<std::uint64_t>(key.round));
-    led.write_u8(static_cast<std::uint8_t>(key.stage));
-    led.write_u8(static_cast<std::uint8_t>(key.algorithm));
-    led.write_u8(static_cast<std::uint8_t>(key.cause));
-    led.write_f64(entry.joules);
-    led.write_u64(entry.debits);
-    for (std::uint64_t limb : entry.exact.limb) led.write_u64(limb);
-    led.write_u8(entry.exact.inexact ? 1 : 0);
-  }
-
-  ByteWriter& anom = snapshot.section("obs.anomaly");
-  anom.write_u64(static_cast<std::uint64_t>(anomaly.rounds_seen));
-  anom.write_u32(static_cast<std::uint32_t>(anomaly.window_sent.size()));
-  for (std::uint64_t v : anomaly.window_sent) anom.write_u64(v);
-  anom.write_u32(static_cast<std::uint32_t>(anomaly.window_lost.size()));
-  for (std::uint64_t v : anomaly.window_lost) anom.write_u64(v);
-  anom.write_u32(static_cast<std::uint32_t>(anomaly.window_misses.size()));
-  for (std::uint32_t v : anomaly.window_misses) anom.write_u32(v);
-  anom.write_f64_vector(anomaly.window_joules);
-  anom.write_u32(static_cast<std::uint32_t>(anomaly.last_flags.size()));
-  for (std::uint8_t v : anomaly.last_flags) anom.write_u8(v);
-
+  for_each_section([&](const char* name, auto... members) {
+    Writer writer{snapshot.section(name)};
+    (transfer(writer, this->*members), ...);
+  });
   return snapshot.finish();
 }
 
 SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> bytes) {
   try {
     const SnapshotReader snapshot(bytes);
+    // Another version's sections may encode differently, and an older one
+    // cannot show that its config matches this build's record.
+    require(snapshot.version() == kSnapshotVersion, "snapshot version is not this build's");
     SimulationCheckpoint ck;
+    for_each_section([&](const char* name, auto... members) {
+      ByteReader in = snapshot.open(name);
+      Reader reader{in};
+      (transfer(reader, ck.*members), ...);
+    });
 
-    ByteReader cfg = snapshot.open("config");
-    ck.guard.dataset = cfg.read_i32();
-    ck.guard.seed = cfg.read_u64();
-    ck.guard.mode = cfg.read_i32();
-    ck.guard.start_frame = cfg.read_i32();
-    ck.guard.end_frame = cfg.read_i32();
-    ck.guard.assessment_gt_frames = cfg.read_i32();
-    ck.guard.operation_gt_frames = cfg.read_i32();
-    ck.guard.gt_frame_step = cfg.read_i32();
-    ck.guard.num_cameras = cfg.read_i32();
-    ck.guard.budget_per_frame = cfg.read_f64();
-    ck.guard.battery_joules = cfg.read_f64();
-    if (ck.guard.num_cameras < 0 || ck.guard.num_cameras > 4096) {
-      throw SnapshotError("checkpoint: implausible camera count");
+    const std::int32_t num_cameras = ck.num_cameras;
+    require(num_cameras >= 0 && num_cameras <= 4096, "implausible camera count");
+    const auto cameras = static_cast<std::size_t>(num_cameras);
+    require(ck.cameras.size() == cameras, "camera state count disagrees with config");
+    for (const CameraState& cam : ck.cameras) {
+      require(cam.algorithm >= 0 && cam.algorithm < detect::kNumAlgorithms,
+              "camera algorithm id out of range");
     }
-
-    ByteReader progress = snapshot.open("progress");
-    ck.frame_index = progress.read_i32();
-    ck.rounds_completed = static_cast<std::int64_t>(progress.read_u64());
-    ck.cpu_joules = progress.read_f64();
-    ck.radio_joules = progress.read_f64();
-    ck.humans_detected = progress.read_i32();
-    ck.humans_present = progress.read_i32();
-    ck.gt_frames_processed = progress.read_i32();
-
-    // Optional: snapshots from builds before the context gate resume with
-    // zero window accounting.
-    if (snapshot.has("context_gate")) {
-      ByteReader gate = snapshot.open("context_gate");
-      ck.windows_evaluated = gate.read_u64();
-      ck.windows_pruned = gate.read_u64();
+    for (const Registration& reg : ck.registrations) {
+      require(reg.camera >= 0 && reg.camera < num_cameras,
+              "registration references unknown camera");
     }
-
-    ByteReader rounds_r = snapshot.open("rounds");
-    const std::uint32_t num_rounds = read_count(rounds_r, 41);
-    ck.rounds.reserve(num_rounds);
-    for (std::uint32_t i = 0; i < num_rounds; ++i) {
-      RoundLogState round;
-      round.start_frame = rounds_r.read_i32();
-      round.n_star = rounds_r.read_f64();
-      round.p_star = rounds_r.read_f64();
-      round.n_est = rounds_r.read_f64();
-      round.p_est = rounds_r.read_f64();
-      round.cameras_active = rounds_r.read_i32();
-      round.summary = rounds_r.read_string();
-      round.midround_recovery = rounds_r.read_u8();
-      ck.rounds.push_back(std::move(round));
-    }
-
-    ByteReader counters = snapshot.open("counters");
-    const std::uint32_t num_counters = read_count(counters, 8);
-    ck.fault_counters.reserve(num_counters);
-    for (std::uint32_t i = 0; i < num_counters; ++i) {
-      ck.fault_counters.push_back(static_cast<std::int64_t>(counters.read_u64()));
-    }
-
-    ByteReader cams = snapshot.open("cameras");
-    const std::uint32_t num_cameras = read_count(cams, 42);
-    for (std::uint32_t i = 0; i < num_cameras; ++i) {
-      CameraState cam;
-      cam.battery_residual = cams.read_f64();
-      cam.has_assignment = cams.read_u8();
-      cam.active = cams.read_u8();
-      cam.algorithm = cams.read_i32();
-      cam.threshold = cams.read_f64();
-      cam.applied_sequence = cams.read_u32();
-      cam.deadline_strikes = cams.read_i32();
-      cam.ladder.battery_floor = cams.read_i32();
-      cam.ladder.stress_rung = cams.read_i32();
-      cam.ladder.clean_rounds = cams.read_i32();
-      ck.cameras.push_back(cam);
-    }
-    if (ck.cameras.size() != static_cast<std::size_t>(ck.guard.num_cameras)) {
-      throw SnapshotError("checkpoint: camera state count disagrees with config guard");
-    }
-
-    ByteReader regs = snapshot.open("registrations");
-    const std::uint32_t num_regs = read_count(regs, 16);
-    for (std::uint32_t i = 0; i < num_regs; ++i) {
-      Registration reg;
-      reg.camera = regs.read_i32();
-      reg.matched_item = regs.read_i32();
-      reg.budget = regs.read_f64();
-      if (reg.camera < 0 || reg.camera >= ck.guard.num_cameras) {
-        throw SnapshotError("checkpoint: registration references unknown camera");
-      }
-      ck.registrations.push_back(reg);
-    }
-
-    ByteReader live = snapshot.open("liveness");
-    ck.liveness.last_heard = live.read_f64_vector();
-    const std::uint32_t num_alive = read_count(live, 1);
-    for (std::uint32_t i = 0; i < num_alive; ++i) {
-      ck.liveness.presumed_alive.push_back(live.read_u8());
-    }
-    const std::uint32_t num_active = read_count(live, 4);
-    for (std::uint32_t i = 0; i < num_active; ++i) {
-      ck.controller_active.push_back(live.read_i32());
-    }
-    if (ck.liveness.last_heard.size() != ck.cameras.size() ||
-        ck.liveness.presumed_alive.size() != ck.cameras.size()) {
-      throw SnapshotError("checkpoint: liveness arrays disagree with camera count");
-    }
-
-    ByteReader pend = snapshot.open("pending");
-    ck.next_sequence = pend.read_u32();
-    const std::uint32_t num_pending = read_count(pend, 20);
-    for (std::uint32_t i = 0; i < num_pending; ++i) {
-      PendingEntry p;
-      p.camera = pend.read_i32();
-      p.entry.sequence = pend.read_u32();
-      p.entry.attempts = pend.read_i32();
-      p.entry.next_retry = pend.read_f64();
-      p.entry.payload = read_payload(pend);
-      if (p.camera < 0 || p.camera >= ck.guard.num_cameras) {
-        throw SnapshotError("checkpoint: pending assignment references unknown camera");
-      }
-      ck.pending.push_back(std::move(p));
-    }
-
-    ByteReader net_r = snapshot.open("network");
-    ck.network.now = net_r.read_f64();
-    ck.network.sequence = net_r.read_u64();
-    ck.network.rx_dropped = net_r.read_u64();
-    for (std::uint64_t& word : ck.network.rng.words) word = net_r.read_u64();
-    ck.network.rng.have_cached_normal = net_r.read_u8() != 0;
-    ck.network.rng.cached_normal = net_r.read_f64();
-    ck.network.node_radio_joules = net_r.read_f64_vector();
-    const std::uint32_t num_bytes = read_count(net_r, 8);
-    for (std::uint32_t i = 0; i < num_bytes; ++i) {
-      ck.network.node_bytes.push_back(net_r.read_u64());
-    }
-    const std::uint32_t num_queued = read_count(net_r, 28);
-    for (std::uint32_t i = 0; i < num_queued; ++i) {
-      net::Network::QueuedMessage msg;
-      msg.time = net_r.read_f64();
-      msg.sequence = net_r.read_u64();
-      msg.from_node = net_r.read_i32();
-      msg.to_node = net_r.read_i32();
-      msg.payload = read_payload(net_r);
-      ck.network.queue.push_back(std::move(msg));
+    require(ck.liveness.last_heard.size() == cameras &&
+                ck.liveness.presumed_alive.size() == cameras,
+            "liveness arrays disagree with camera count");
+    for (const PendingEntry& p : ck.pending) {
+      require(p.camera >= 0 && p.camera < num_cameras,
+              "pending assignment references unknown camera");
     }
     // Node 0 is the controller; cameras are nodes 1..num_cameras.
-    const std::size_t num_nodes = static_cast<std::size_t>(ck.guard.num_cameras) + 1;
-    if (ck.network.node_radio_joules.size() != num_nodes ||
-        ck.network.node_bytes.size() != num_nodes) {
-      throw SnapshotError("checkpoint: network node arrays disagree with camera count");
-    }
-
-    // Observability sections: optional so snapshots from builds before the
-    // ledger landed still resume (their ledger simply restarts empty).
-    if (snapshot.has("obs.ledger")) {
-      ByteReader led = snapshot.open("obs.ledger");
-      ck.ledger.cpu_total = led.read_f64();
-      ck.ledger.radio_total = led.read_f64();
-      for (std::uint64_t& limb : ck.ledger.exact_total.limb) limb = led.read_u64();
-      ck.ledger.exact_total.inexact = led.read_u8() != 0;
-      ck.ledger.debits = led.read_u64();
-      ck.ledger.camera_joules = led.read_f64_vector();
-      ck.ledger.mirror_residual = led.read_f64_vector();
-      ck.ledger.mirror_capacity = led.read_f64_vector();
-      const std::uint32_t num_entries = read_count(led, 56);
-      ck.ledger.entries.reserve(num_entries);
-      for (std::uint32_t i = 0; i < num_entries; ++i) {
-        obs::LedgerKey key;
-        key.camera = led.read_i32();
-        key.round = static_cast<std::int64_t>(led.read_u64());
-        key.stage = static_cast<obs::EnergyStage>(led.read_u8());
-        key.algorithm = static_cast<std::int8_t>(led.read_u8());
-        key.cause = static_cast<obs::EnergyCause>(led.read_u8());
-        obs::LedgerEntry entry;
-        entry.joules = led.read_f64();
-        entry.debits = led.read_u64();
-        for (std::uint64_t& limb : entry.exact.limb) limb = led.read_u64();
-        entry.exact.inexact = led.read_u8() != 0;
-        ck.ledger.entries.emplace_back(key, entry);
-      }
-    }
-    if (snapshot.has("obs.anomaly")) {
-      ByteReader anom = snapshot.open("obs.anomaly");
-      ck.anomaly.rounds_seen = static_cast<std::int64_t>(anom.read_u64());
-      const std::uint32_t num_sent = read_count(anom, 8);
-      for (std::uint32_t i = 0; i < num_sent; ++i) ck.anomaly.window_sent.push_back(anom.read_u64());
-      const std::uint32_t num_lost = read_count(anom, 8);
-      for (std::uint32_t i = 0; i < num_lost; ++i) ck.anomaly.window_lost.push_back(anom.read_u64());
-      const std::uint32_t num_miss = read_count(anom, 4);
-      for (std::uint32_t i = 0; i < num_miss; ++i) {
-        ck.anomaly.window_misses.push_back(anom.read_u32());
-      }
-      ck.anomaly.window_joules = anom.read_f64_vector();
-      const std::uint32_t num_flags = read_count(anom, 1);
-      for (std::uint32_t i = 0; i < num_flags; ++i) {
-        ck.anomaly.last_flags.push_back(anom.read_u8());
-      }
-    }
-
+    require(ck.network.node_radio_joules.size() == cameras + 1 &&
+                ck.network.node_bytes.size() == cameras + 1,
+            "network node arrays disagree with camera count");
+    // An EECS_OBS_OFF build never arms the ledger and writes it empty.
+    const std::size_t ledger_cameras = ck.ledger.camera_joules.size();
+    require((ledger_cameras == 0 || ledger_cameras == cameras) &&
+                ck.ledger.mirror_residual.size() == ledger_cameras &&
+                ck.ledger.mirror_capacity.size() == ledger_cameras,
+            "ledger arrays disagree with camera count");
     return ck;
   } catch (const ByteReader::DecodeError& e) {
     throw SnapshotError(std::string("checkpoint: malformed section: ") + e.what());
   }
+}
+
+void SimulationCheckpoint::check_config(std::int32_t run_cameras, const ConfigRecord& run) const {
+  if (num_cameras != run_cameras) {
+    throw SnapshotError("resume: snapshot has " + std::to_string(num_cameras) +
+                        " cameras, this run has " + std::to_string(run_cameras));
+  }
+  const auto [mine, theirs] = std::mismatch(config.begin(), config.end(), run.begin(), run.end());
+  if (mine == config.end() && theirs == run.end()) return;
+  const auto text = [](const ConfigRecord& record, ConfigRecord::const_iterator it) {
+    return it == record.end() ? std::string("(no field)") : it->name + "=" + it->value;
+  };
+  throw SnapshotError("resume: config differs: " + text(config, mine) + " (snapshot) vs " +
+                      text(run, theirs) + " (this run)");
 }
 
 void SimulationCheckpoint::save(const std::string& path) const {

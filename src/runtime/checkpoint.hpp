@@ -1,13 +1,17 @@
 // Full-simulation checkpoint: everything the closed loop needs to resume
-// bit-identically from a round boundary — progress counters, result
-// accumulators, per-camera device state, controller registrations, liveness
-// and retry-queue state, the complete network state (clock, RNG stream,
-// event queue), and the durable-runtime extensions (watchdog strikes,
-// degradation ladder). The struct mirrors the loop's state with plain data
+// bit-identically from a round boundary — the run's identity (camera count
+// and config record), progress counters, result accumulators, per-camera
+// device state, controller registrations, liveness and retry-queue state,
+// the complete network state (clock, RNG stream, event queue), the
+// durable-runtime extensions (watchdog strikes, degradation ladder) and the
+// observability state. The struct mirrors the loop's state with plain data
 // so the runtime layer stays independent of core; core fills and applies it.
 //
-// Serialized through the snapshot container (one section per subsystem) so
-// integrity is CRC-checked and old readers skip sections they don't know.
+// Serialized through the snapshot container, one CRC-checked section per
+// subsystem. Each persisted struct has one field list in checkpoint.cpp that
+// both encode() and decode() walk, so its wire format is stated once; any
+// change to a list changes the encoding and bumps kSnapshotVersion, and
+// decode() accepts only that version.
 #pragma once
 
 #include <cstdint>
@@ -23,26 +27,22 @@
 
 namespace eecs::runtime {
 
-struct SimulationCheckpoint {
-  /// Identity of the run this snapshot belongs to. Resume refuses a snapshot
-  /// whose guard does not match the resuming configuration — a checkpoint is
-  /// only bit-exact against the exact same run setup.
-  struct ConfigGuard {
-    std::int32_t dataset = 0;
-    std::uint64_t seed = 0;
-    std::int32_t mode = 0;
-    std::int32_t start_frame = 0;
-    std::int32_t end_frame = 0;
-    std::int32_t assessment_gt_frames = 0;
-    std::int32_t operation_gt_frames = 0;
-    std::int32_t gt_frame_step = 0;
-    std::int32_t num_cameras = 0;
-    double budget_per_frame = 0.0;
-    double battery_joules = 0.0;
+/// One results-affecting field of the loop configuration as canonical text
+/// (core::config_record builds the record from core::for_each_config_field).
+struct ConfigField {
+  std::string name;
+  std::string value;
 
-    [[nodiscard]] bool operator==(const ConfigGuard&) const = default;
-  };
-  ConfigGuard guard;
+  [[nodiscard]] bool operator==(const ConfigField&) const = default;
+};
+using ConfigRecord = std::vector<ConfigField>;
+
+struct SimulationCheckpoint {
+  // ---- Identity of the run this snapshot belongs to. A checkpoint is only
+  // bit-exact against the same camera count and config record, so resume
+  // refuses any difference (check_config).
+  std::int32_t num_cameras = 0;
+  ConfigRecord config;
 
   // ---- Progress: the snapshot is taken at the top of a recalibration round.
   std::int32_t frame_index = 0;  ///< Scene frames advanced; resume = skip(n).
@@ -54,8 +54,7 @@ struct SimulationCheckpoint {
   std::int32_t humans_detected = 0;
   std::int32_t humans_present = 0;
   std::int32_t gt_frames_processed = 0;
-  /// Sliding-window accounting (context gate); optional "context_gate"
-  /// section so older snapshots (zeros) still resume.
+  /// Sliding-window accounting (context gate).
   std::uint64_t windows_evaluated = 0;
   std::uint64_t windows_pruned = 0;
 
@@ -71,9 +70,8 @@ struct SimulationCheckpoint {
   };
   std::vector<RoundLogState> rounds;
 
-  /// FaultCounters deltas accumulated before the checkpoint, in the field
-  /// order of core::FaultCounters (the simulation owns the ordering; the
-  /// count prefix lets older snapshots resume into a build with new fields).
+  /// FaultCounters accumulated before the checkpoint, in the field order of
+  /// core::FaultCounters (the simulation owns the ordering and the count).
   std::vector<std::int64_t> fault_counters;
 
   // ---- Per-camera device + runtime state.
@@ -119,9 +117,15 @@ struct SimulationCheckpoint {
   obs::EnergyLedger::State ledger;
   obs::AnomalyDetector::State anomaly;
 
+  /// Throws SnapshotError naming the first field where this snapshot's
+  /// identity differs from the resuming run's camera count and config record.
+  void check_config(std::int32_t run_cameras, const ConfigRecord& run) const;
+
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Throws SnapshotError on any malformed input (bad framing, CRC mismatch,
-  /// truncated section, inconsistent per-camera array sizes).
+  /// Throws SnapshotError on any malformed input (bad framing, another
+  /// snapshot version, CRC mismatch, truncated section, a count larger than
+  /// its section, inconsistent per-camera array sizes, an algorithm id out of
+  /// range).
   [[nodiscard]] static SimulationCheckpoint decode(std::span<const std::uint8_t> bytes);
 
   void save(const std::string& path) const;

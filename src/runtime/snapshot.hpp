@@ -31,9 +31,10 @@ class SnapshotError : public std::runtime_error {
 
 /// "ECSS" little-endian — EECS snapshot container.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53534345;
-/// Bumped when the container framing itself changes. Adding sections does not
-/// bump it (readers skip unknown names); removing or re-encoding one does.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bumped whenever the framing or any section's encoding changes, which
+/// includes any change to the checkpoint's field lists or its config record.
+/// SimulationCheckpoint::decode accepts this version only.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Builds a snapshot: open sections in any order, fill each through the
 /// returned ByteWriter, then finish() to frame the container.
@@ -60,7 +61,6 @@ class SnapshotReader {
   explicit SnapshotReader(std::span<const std::uint8_t> data);
 
   [[nodiscard]] std::uint32_t version() const { return version_; }
-  [[nodiscard]] bool has(const std::string& name) const { return sections_.count(name) > 0; }
 
   /// ByteReader over a section payload; SnapshotError if the section is
   /// missing (a truncated writer or a file from before the section existed).

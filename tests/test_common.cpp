@@ -144,13 +144,10 @@ TEST(Bytes, RoundTripScalars) {
 TEST(Bytes, RoundTripVectors) {
   ByteWriter w;
   const std::vector<float> vf{1.0f, -2.0f, 0.5f};
-  const std::vector<double> vd{3.14, 2.71};
   w.write_f32_vector(vf);
-  w.write_f64_vector(vd);
 
   ByteReader r(w.bytes());
   EXPECT_EQ(r.read_f32_vector(), vf);
-  EXPECT_EQ(r.read_f64_vector(), vd);
 }
 
 TEST(Bytes, UnderrunThrowsDecodeError) {

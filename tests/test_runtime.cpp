@@ -1,17 +1,27 @@
 // Durable-runtime layer: snapshot container integrity, checkpoint
-// encode/decode hardening (truncation + corruption fuzz), deterministic
+// encode/decode hardening (truncation + corruption fuzz, before and past the
+// section CRC), the loop config record resume checks, deterministic
 // retry backoff with jitter, ack semantics (late acks counted, never
 // re-applied), liveness, the round watchdog, the graceful-degradation
 // ladder, FaultPlan validation, and end-to-end checkpoint/resume
 // bit-exactness of the closed loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
+#include "detect/detection.hpp"
 #include "loop_digest.hpp"
 #include "net/fault.hpp"
 #include "runtime/checkpoint.hpp"
@@ -45,9 +55,6 @@ TEST(Snapshot, SectionRoundtripPreservesPayloads) {
 
   const runtime::SnapshotReader r(bytes);
   EXPECT_EQ(r.version(), runtime::kSnapshotVersion);
-  EXPECT_TRUE(r.has("alpha"));
-  EXPECT_TRUE(r.has("beta"));
-  EXPECT_FALSE(r.has("gamma"));
   ByteReader alpha = r.open("alpha");
   EXPECT_EQ(alpha.read_u32(), 0xdeadbeefu);
   ByteReader b = r.open("beta");
@@ -96,7 +103,8 @@ TEST(Snapshot, MissingFileThrowsSnapshotError) {
 
 SimulationCheckpoint sample_checkpoint() {
   SimulationCheckpoint ck;
-  ck.guard = {1, 777, 0, 1000, 2950, 4, 20, 1, 2, 3.0, 1.0e5};
+  ck.num_cameras = 2;
+  ck.config = {{"dataset", "1"}, {"seed", "777"}, {"context_gate.enabled", "0"}};
   ck.frame_index = 1600;
   ck.rounds_completed = 1;
   ck.cpu_joules = 12.5;
@@ -130,6 +138,26 @@ SimulationCheckpoint sample_checkpoint() {
   ck.network.node_radio_joules = {0.0, 0.5, 0.25};
   ck.network.node_bytes = {0, 1024, 512};
   ck.network.queue.push_back({1600.25, 98, 1, 0, {9, 8, 7}});
+  ck.ledger.cpu_total = 12.5;
+  ck.ledger.radio_total = 0.75;
+  ck.ledger.exact_total.limb[1] = 13;
+  ck.ledger.debits = 3;
+  ck.ledger.camera_joules = {10.0, 3.25};
+  ck.ledger.mirror_residual = {55.0, 44.0};
+  ck.ledger.mirror_capacity = {100.0, 100.0};
+  obs::LedgerEntry entry;
+  entry.joules = 3.25;
+  entry.debits = 2;
+  entry.exact.limb[1] = 3;
+  ck.ledger.entries.emplace_back(obs::LedgerKey{1, 0, obs::EnergyStage::Operation, 1,
+                                                obs::EnergyCause::Detect},
+                                 entry);
+  ck.anomaly.rounds_seen = 1;
+  ck.anomaly.window_sent = {10};
+  ck.anomaly.window_lost = {2};
+  ck.anomaly.window_misses = {0};
+  ck.anomaly.window_joules = {10.0, 3.25};
+  ck.anomaly.last_flags = {0, 1};
   return ck;
 }
 
@@ -138,7 +166,8 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   const std::vector<std::uint8_t> bytes = ck.encode();
   const SimulationCheckpoint back = SimulationCheckpoint::decode(bytes);
 
-  EXPECT_TRUE(back.guard == ck.guard);
+  EXPECT_EQ(back.num_cameras, ck.num_cameras);
+  EXPECT_EQ(back.config, ck.config);
   EXPECT_EQ(back.frame_index, ck.frame_index);
   EXPECT_EQ(back.rounds_completed, ck.rounds_completed);
   EXPECT_EQ(back.cpu_joules, ck.cpu_joules);
@@ -156,6 +185,10 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   EXPECT_EQ(back.network.rng.words, ck.network.rng.words);
   ASSERT_EQ(back.network.queue.size(), 1u);
   EXPECT_EQ(back.network.queue[0].payload, ck.network.queue[0].payload);
+  ASSERT_EQ(back.ledger.entries.size(), 1u);
+  EXPECT_EQ(back.ledger.entries[0].first, ck.ledger.entries[0].first);
+  EXPECT_EQ(back.ledger.entries[0].second.exact, ck.ledger.entries[0].second.exact);
+  EXPECT_EQ(back.anomaly.window_joules, ck.anomaly.window_joules);
 
   // The decoded checkpoint must re-encode to the exact same bytes (resume
   // sees everything the writer saved).
@@ -189,10 +222,236 @@ TEST(Checkpoint, RandomCorruptionNeverEscapesSnapshotError) {
   }
 }
 
+/// Where a section's CRC and payload sit in an encoded snapshot.
+struct SectionSpan {
+  std::string name;
+  std::size_t crc_at = 0;
+  std::size_t begin = 0;
+  std::size_t size = 0;
+};
+
+/// Walks the container framing (snapshot.hpp): magic | version | count |
+/// per section: name | payload length | crc32 | payload.
+std::vector<SectionSpan> section_spans(const std::vector<std::uint8_t>& bytes) {
+  ByteReader r(bytes);
+  (void)r.read_u32();
+  (void)r.read_u32();
+  const std::uint32_t count = r.read_u32();
+  std::vector<SectionSpan> spans;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    SectionSpan span;
+    span.name = r.read_string();
+    span.size = r.read_u32();
+    span.crc_at = bytes.size() - r.remaining();
+    (void)r.read_u32();
+    span.begin = bytes.size() - r.remaining();
+    for (std::size_t b = 0; b < span.size; ++b) (void)r.read_u8();
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+/// Recomputes a section's CRC, so a corrupted payload reaches its decoder.
+void reseal(std::vector<std::uint8_t>& bytes, const SectionSpan& span) {
+  const std::uint32_t crc =
+      runtime::crc32(std::span<const std::uint8_t>(bytes).subspan(span.begin, span.size));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[span.crc_at + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+// The framed-file fuzz above never gets past a section CRC. Here every trial
+// corrupts one section's payload and re-seals its CRC, so the section
+// decoders themselves see the damage.
+TEST(Checkpoint, PayloadCorruptionPastTheCrcNeverEscapesSnapshotError) {
+  const std::vector<std::uint8_t> bytes = sample_checkpoint().encode();
+  const std::vector<SectionSpan> spans = section_spans(bytes);
+  const auto rejected = [](const std::vector<std::uint8_t>& candidate) {
+    try {
+      (void)SimulationCheckpoint::decode(candidate);
+      return false;
+    } catch (const SnapshotError&) {
+      return true;  // Anything but SnapshotError escapes and fails the test.
+    }
+  };
+  Rng rng(20261017);
+  int rejections = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    const SectionSpan& span =
+        spans[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(spans.size()) - 1))];
+    const int flips = rng.uniform_int(1, 3);
+    for (int i = 0; i < flips; ++i) {
+      const auto offset =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(span.size) - 1));
+      corrupt[span.begin + offset] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    }
+    reseal(corrupt, span);
+    if (rejected(corrupt)) ++rejections;
+  }
+  EXPECT_GT(rejections, 0);
+
+  // A count of 0xFFFFFFFF is refused before anything is allocated.
+  for (const SectionSpan& span : spans) {
+    if (span.name != "rounds" && span.name != "cameras" && span.name != "counters") continue;
+    std::vector<std::uint8_t> huge = bytes;
+    for (std::size_t i = 0; i < 4; ++i) huge[span.begin + i] = 0xFF;
+    reseal(huge, span);
+    EXPECT_TRUE(rejected(huge)) << span.name;
+  }
+}
+
 TEST(Checkpoint, CameraCountMismatchIsRejected) {
   SimulationCheckpoint ck = sample_checkpoint();
-  ck.guard.num_cameras = 3;  // But only 2 camera states.
+  ck.num_cameras = 3;  // But only 2 camera states.
   EXPECT_THROW((void)SimulationCheckpoint::decode(ck.encode()), SnapshotError);
+
+  // The ledger's per-camera arrays are either empty (an EECS_OBS_OFF build
+  // never arms the ledger) or one entry per camera.
+  SimulationCheckpoint short_ledger = sample_checkpoint();
+  short_ledger.ledger.mirror_residual.pop_back();
+  EXPECT_THROW((void)SimulationCheckpoint::decode(short_ledger.encode()), SnapshotError);
+  SimulationCheckpoint obs_off = sample_checkpoint();
+  obs_off.ledger = {};
+  EXPECT_NO_THROW((void)SimulationCheckpoint::decode(obs_off.encode()));
+}
+
+// A resumed camera's algorithm indexes the detector table, so an id out of
+// range must not get past decode.
+TEST(Checkpoint, OutOfRangeAlgorithmIsRejected) {
+  for (const std::int32_t algorithm : {200, -1, detect::kNumAlgorithms}) {
+    SimulationCheckpoint ck = sample_checkpoint();
+    ck.cameras[1].algorithm = algorithm;
+    EXPECT_THROW((void)SimulationCheckpoint::decode(ck.encode()), SnapshotError) << algorithm;
+  }
+}
+
+// An older snapshot cannot show that its config matches this build's record.
+TEST(Checkpoint, AnotherSnapshotVersionIsRejected) {
+  std::vector<std::uint8_t> bytes = sample_checkpoint().encode();
+  bytes[4] = static_cast<std::uint8_t>(runtime::kSnapshotVersion - 1);  // u32 LE version.
+  EXPECT_THROW((void)SimulationCheckpoint::decode(bytes), SnapshotError);
+}
+
+// ----------------------------------------------------------- Config record
+
+/// Sets (or, with nullptr, clears) an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Changes a config field's value: negate a bool, advance an enum, bump a
+/// number, grow a vector.
+template <typename T>
+void flip(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else if constexpr (std::is_enum_v<T>) {
+    field = static_cast<T>(static_cast<int>(field) + 1);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    field = static_cast<T>(field + 1);
+  } else {
+    field.emplace_back();
+  }
+}
+
+TEST(ConfigRecord, FlippingAnyFieldChangesTheRecordAtThatName) {
+  const ScopedEnv no_gate_override("EECS_CONTEXT_GATE", nullptr);
+  const core::EecsSimulationConfig base;
+  const runtime::ConfigRecord before = core::config_record(base);
+  std::size_t index = 0;
+  core::for_each_config_field(base, [&](const char* name, const auto&) {
+    core::EecsSimulationConfig changed = base;
+    std::size_t i = 0;
+    core::for_each_config_field(changed, [&](const char*, auto& field) {
+      if (i++ == index) flip(field);
+    });
+    ++index;
+    const runtime::ConfigRecord after = core::config_record(changed);
+    ASSERT_EQ(after.size(), before.size());
+    const auto [was, now] = std::mismatch(before.begin(), before.end(), after.begin());
+    ASSERT_NE(was, before.end()) << name << " does not reach the record";
+    EXPECT_EQ(now->name, name);
+    EXPECT_TRUE(std::equal(std::next(was), before.end(), std::next(now))) << name;
+  });
+  EXPECT_EQ(index, before.size());
+}
+
+/// Converts to any type: counts the initializers an aggregate accepts.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // NOLINT: only named in unevaluated probes.
+};
+
+template <typename T, std::size_t... I>
+constexpr bool accepts_initializers(std::index_sequence<I...>) {
+  return requires { T{(static_cast<void>(I), AnyField{})...}; };
+}
+
+/// Number of direct members of the aggregate T.
+template <typename T, std::size_t N = 0>
+constexpr std::size_t member_count() {
+  if constexpr (accepts_initializers<T>(std::make_index_sequence<N + 1>{})) {
+    return member_count<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
+/// Distinct members of the struct at `prefix` that the config field list or
+/// the execution-only list names.
+std::size_t members_named(const std::string& prefix) {
+  std::set<std::string> members;
+  const auto note = [&](const std::string& name) {
+    if (name.rfind(prefix, 0) != 0) return;
+    const std::string rest = name.substr(prefix.size());
+    members.insert(rest.substr(0, rest.find('.')));
+  };
+  const core::EecsSimulationConfig config;
+  core::for_each_config_field(config, [&](const char* name, const auto&) { note(name); });
+  for (const char* name : core::kExecutionOnlyConfigFields) note(name);
+  return members.size();
+}
+
+// A member added to a config struct must be recorded or declared
+// execution-only, or this fails.
+TEST(ConfigRecord, EveryConfigMemberIsRecordedOrExecutionOnly) {
+  EXPECT_EQ(member_count<core::EecsSimulationConfig>(), members_named(""));
+  EXPECT_EQ(member_count<detect::ContextGateOptions>(), members_named("context_gate."));
+  EXPECT_EQ(member_count<core::ControllerParams>(), members_named("controller."));
+  EXPECT_EQ(member_count<core::OfflineOptions>(), members_named("models."));
+  EXPECT_EQ(member_count<energy::CpuEnergyModel>(), members_named("models.cpu_model."));
+  EXPECT_EQ(member_count<energy::RadioModel>(), members_named("models.radio_model."));
+  EXPECT_EQ(member_count<imaging::JpegModel>(), members_named("models.jpeg_model."));
+  EXPECT_EQ(member_count<domain::ComparatorParams>(), members_named("models.comparator."));
+  EXPECT_EQ(member_count<net::LinkQuality>(), members_named("uplink."));
+  EXPECT_EQ(member_count<net::LinkQuality>(), members_named("downlink."));
+  EXPECT_EQ(member_count<net::FaultPlan>(), members_named("faults."));
+  EXPECT_EQ(member_count<core::ProtocolOptions>(), members_named("protocol."));
+  EXPECT_EQ(member_count<core::RuntimeOptions>(), members_named("runtime."));
+  EXPECT_EQ(member_count<runtime::DegradationPolicy>(), members_named("runtime.degradation."));
+  EXPECT_EQ(member_count<obs::AnomalyOptions>(), members_named("runtime.anomaly."));
 }
 
 // ------------------------------------------------------------ Retry policy
@@ -522,31 +781,13 @@ TEST_F(RuntimeResume, CheckpointThenResumeIsBitIdenticalToUninterrupted) {
   const core::SimulationResult partial = run_eecs_simulation(bank(), knowledge(), crash);
   EXPECT_LT(partial.gt_frames_processed, uninterrupted.gt_frames_processed);
 
+  // Only execution-only fields differ from the crashed run's config: the
+  // width and the checkpoint and stop settings.
   core::EecsSimulationConfig resume = config();
+  resume.threads = 2;
   resume.runtime.resume_from = path;
   const core::SimulationResult resumed = run_eecs_simulation(bank(), knowledge(), resume);
-
-  EXPECT_EQ(resumed.cpu_joules, uninterrupted.cpu_joules);
-  EXPECT_EQ(resumed.radio_joules, uninterrupted.radio_joules);
-  EXPECT_EQ(resumed.humans_detected, uninterrupted.humans_detected);
-  EXPECT_EQ(resumed.humans_present, uninterrupted.humans_present);
-  EXPECT_EQ(resumed.gt_frames_processed, uninterrupted.gt_frames_processed);
-  ASSERT_EQ(resumed.rounds.size(), uninterrupted.rounds.size());
-  for (std::size_t i = 0; i < resumed.rounds.size(); ++i) {
-    EXPECT_EQ(resumed.rounds[i].start_frame, uninterrupted.rounds[i].start_frame);
-    EXPECT_EQ(resumed.rounds[i].stats.n_est, uninterrupted.rounds[i].stats.n_est);
-    EXPECT_EQ(resumed.rounds[i].stats.summary, uninterrupted.rounds[i].stats.summary);
-  }
-  ASSERT_EQ(resumed.battery_residual.size(), uninterrupted.battery_residual.size());
-  for (std::size_t c = 0; c < resumed.battery_residual.size(); ++c) {
-    EXPECT_EQ(resumed.battery_residual[c], uninterrupted.battery_residual[c]);
-  }
-  EXPECT_EQ(resumed.faults.messages_sent, uninterrupted.faults.messages_sent);
-  EXPECT_EQ(resumed.faults.messages_lost, uninterrupted.faults.messages_lost);
-  EXPECT_EQ(resumed.faults.assignments_retried, uninterrupted.faults.assignments_retried);
-  EXPECT_EQ(resumed.faults.assignments_pushed, uninterrupted.faults.assignments_pushed);
-  EXPECT_EQ(resumed.faults.assignments_acked, uninterrupted.faults.assignments_acked);
-  EXPECT_EQ(resumed.faults.deadline_misses, uninterrupted.faults.deadline_misses);
+  EXPECT_EQ(loop_digest::result(resumed), loop_digest::result(uninterrupted));
 
   // Both ways, every pushed assignment is accounted for.
   for (const core::SimulationResult* r : {&uninterrupted, &resumed}) {
@@ -561,6 +802,53 @@ TEST_F(RuntimeResume, CheckpointThenResumeIsBitIdenticalToUninterrupted) {
   wrong.runtime.resume_from = path;
   wrong.seed = 778;
   EXPECT_THROW((void)run_eecs_simulation(bank(), knowledge(), wrong), SnapshotError);
+  std::remove(path);
+}
+
+// The context gate changes results whether the config or EECS_CONTEXT_GATE
+// turns it on, so resume refuses either and names the field. A snapshot whose
+// fault counters do not match this build's field list is refused too.
+TEST_F(RuntimeResume, MismatchedSnapshotsAreRefused) {
+  const ScopedEnv no_gate_override("EECS_CONTEXT_GATE", nullptr);
+  const char* path = "test_runtime_resume_gate.snap";
+  core::EecsSimulationConfig crash = config();
+  crash.runtime.checkpoint_every_rounds = 1;
+  crash.runtime.checkpoint_path = path;
+  crash.runtime.stop_after_rounds = 1;
+  (void)run_eecs_simulation(bank(), knowledge(), crash);
+
+  const auto refusal = [&](const core::EecsSimulationConfig& cfg) -> std::string {
+    try {
+      (void)run_eecs_simulation(bank(), knowledge(), cfg);
+    } catch (const SnapshotError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::string named =
+      "context_gate.enabled=0 (snapshot) vs context_gate.enabled=1 (this run)";
+  core::EecsSimulationConfig gated = config();
+  gated.context_gate.enabled = true;
+  gated.runtime.resume_from = path;
+  const std::string config_refusal = refusal(gated);
+  EXPECT_NE(config_refusal.find(named), std::string::npos) << config_refusal;
+
+  const char* short_path = "test_runtime_resume_short.snap";
+  SimulationCheckpoint short_counters = SimulationCheckpoint::load(path);
+  short_counters.fault_counters.pop_back();
+  short_counters.save(short_path);
+  core::EecsSimulationConfig short_resume = config();
+  short_resume.runtime.resume_from = short_path;
+  const std::string counters_refusal = refusal(short_resume);
+  EXPECT_NE(counters_refusal.find("fault counters"), std::string::npos) << counters_refusal;
+  std::remove(short_path);
+
+  core::EecsSimulationConfig same = config();
+  same.runtime.resume_from = path;
+  const ScopedEnv gate_override("EECS_CONTEXT_GATE", "1");
+  const std::string env_refusal = refusal(same);
+  EXPECT_NE(env_refusal.find(named), std::string::npos) << env_refusal;
+  std::remove(path);
 }
 
 // A resumed run that checkpoints again must carry the earlier segments'

@@ -10,7 +10,8 @@
 //   C. resume leg — restart from B's snapshot and run to the end.
 //
 // Exit invariants, checked per scene (any violation exits nonzero):
-//   - resume bit-exactness: leg C's %.17g report equals leg A's;
+//   - resume bit-exactness: leg C's %.17g report (tests/loop_digest.hpp)
+//     equals leg A's;
 //   - batteries never go negative;
 //   - no assignment is lost forever: pushed == acked + abandoned + dropped +
 //     replaced + pending_at_exit;
@@ -28,7 +29,6 @@
 // Everything derives from (seed, scene), so a failure reproduces from the
 // printed pair alone.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,6 +39,7 @@
 
 #include "common/stopwatch.hpp"
 #include "core/simulation.hpp"
+#include "loop_digest.hpp"
 #include "obs/flight.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/chaos.hpp"
@@ -50,41 +51,6 @@ using namespace eecs;
 using namespace eecs::core;
 
 namespace {
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-/// %.17g report of every deterministic SimulationResult field (the resume
-/// bit-exactness comparison diffs these strings).
-std::string result_report(const SimulationResult& r) {
-  std::string out;
-  append(out, "cpu=%.17g radio=%.17g detected=%d present=%d frames=%d rounds=%zu\n", r.cpu_joules,
-         r.radio_joules, r.humans_detected, r.humans_present, r.gt_frames_processed,
-         r.rounds.size());
-  for (const auto& round : r.rounds) {
-    append(out, "round@%d n=%.17g p=%.17g active=%d %s\n", round.start_frame, round.stats.n_est,
-           round.stats.p_est, round.stats.cameras_active, round.stats.summary.c_str());
-  }
-  for (std::size_t c = 0; c < r.battery_residual.size(); ++c) {
-    append(out, "battery[%zu]=%.17g\n", c, r.battery_residual[c]);
-  }
-  const FaultCounters& f = r.faults;
-  append(out,
-         "faults sent=%ld lost=%ld retried=%ld abandoned=%ld pushed=%ld acked=%ld late=%ld "
-         "dropped=%ld replaced=%ld pending=%ld misses=%ld down=%ld up=%ld parked=%ld skipped=%ld\n",
-         f.messages_sent, f.messages_lost, f.assignments_retried, f.assignments_abandoned,
-         f.assignments_pushed, f.assignments_acked, f.acks_late, f.assignments_dropped,
-         f.assignments_replaced, f.assignments_pending_at_exit, f.deadline_misses,
-         f.degradation_stepdowns, f.degradation_stepups, f.frames_parked,
-         f.frames_skipped_exhausted);
-  return out;
-}
 
 int check_invariants(int scene, const char* leg, const SimulationResult& r) {
   int failures = 0;
@@ -238,7 +204,7 @@ int main(int argc, char** argv) {
       const SimulationResult r = run_eecs_simulation(bank, knowledge, cfg);
       failures += check_invariants(scene, "reference", r);
       failures += check_conservation(scene, "reference", telemetry.session(), r);
-      return result_report(r);
+      return loop_digest::result(r);
     }();
 
     if (kill_after >= 1) {
@@ -269,7 +235,7 @@ int main(int argc, char** argv) {
         const SimulationResult r = run_eecs_simulation(bank, knowledge, resume);
         failures += check_invariants(scene, "resume", r);
         failures += check_conservation(scene, "resume", telemetry.session(), r);
-        return result_report(r);
+        return loop_digest::result(r);
       }();
       if (resumed != reference) {
         std::printf("FAIL scene=%d: resume diverges from the uninterrupted run\n", scene);

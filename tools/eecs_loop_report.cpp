@@ -6,8 +6,10 @@
 // The runtime flags drive the durable-runtime layer: write a snapshot to
 // PATH every K completed rounds, stop early to simulate a crash, and resume
 // a later invocation from the snapshot (bit-identical to the uninterrupted
-// run; see DESIGN.md "Durable runtime"). Unknown flags or a non-numeric
-// dataset are rejected with the usage line and a nonzero exit.
+// run; see DESIGN.md "Durable runtime"). A resume whose snapshot is
+// unreadable or was taken under a results-affecting config change exits 1
+// with the reason, naming the field that differs. Unknown flags or a
+// non-numeric dataset are rejected with the usage line and a nonzero exit.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include "core/simulation.hpp"
 #include "obs/exposition.hpp"
 #include "obs/telemetry.hpp"
+#include "runtime/snapshot.hpp"
 using namespace eecs;
 using namespace eecs::core;
 
@@ -104,9 +107,9 @@ int main(int argc, char** argv) {
                   a.threshold, a.total_joules_per_frame());
     std::printf("\n");
   }
-  // A snapshot binds to one exact configuration (the decoder cross-checks a
-  // config guard), so the checkpoint/resume flags run the single AllBest mode
-  // instead of the three-mode sweep.
+  // A snapshot binds to one configuration (resume refuses any change to its
+  // config record), so the checkpoint/resume flags run the single AllBest
+  // mode instead of the three-mode sweep.
   const bool durable = runtime.checkpoint_every_rounds > 0 || !runtime.resume_from.empty() ||
                        runtime.stop_after_rounds > 0;
   const std::vector<SelectionMode> modes =
@@ -125,7 +128,13 @@ int main(int argc, char** argv) {
     cfg.context_gate.enabled = context_gate;
     watch.reset();
     obs::ScopedTelemetry telemetry;  // Per-mode metrics; see summary below.
-    const SimulationResult r = run_eecs_simulation(bank, knowledge, cfg);
+    SimulationResult r;
+    try {
+      r = run_eecs_simulation(bank, knowledge, cfg);
+    } catch (const runtime::SnapshotError& e) {
+      std::fprintf(stderr, "eecs_loop_report: %s\n", e.what());
+      return 1;
+    }
     std::printf("mode %d: J=%.1f (cpu %.1f radio %.1f) humans %d/%d rate=%.2f frames=%d rounds=%zu [%.0fs]\n",
                 static_cast<int>(mode), r.total_joules(), r.cpu_joules, r.radio_joules,
                 r.humans_detected, r.humans_present, r.detection_rate(), r.gt_frames_processed,

@@ -12,7 +12,6 @@
 // pruned window accounting) is just as deterministic. The set-up itself —
 // detector training and the offline knowledge build — is built at width 1
 // and at width N and diffed the same way before any loop runs.
-#include <cstdarg>
 #include <cstdio>
 #include <string>
 
@@ -27,15 +26,6 @@ using namespace eecs;
 using namespace eecs::core;
 
 namespace {
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 /// Absolute %.17g "name=value" lines of the current deterministic snapshot
 /// (diff against an empty baseline == the values themselves).
@@ -66,10 +56,10 @@ std::string ledger_lines(obs::Telemetry& session, const SimulationResult& r) {
   return out;
 }
 
-/// Full %.17g report of every deterministic field (timings are wall-clock
-/// observability and deliberately excluded) for all fixed configs at the
-/// given parallel width and SIMD dispatch mode (1 = native packs, 0 = scalar
-/// emulation).
+/// Full %.17g report (loop_digest::result, whose timings are wall-clock
+/// observability and deliberately excluded) plus metrics and ledger, for all
+/// fixed configs at the given parallel width and SIMD dispatch mode (1 =
+/// native packs, 0 = scalar emulation).
 std::string report(const DetectorBank& bank, const OfflineKnowledge& knowledge, int threads,
                    int simd, bool context_gate = false) {
   std::string out;
@@ -88,20 +78,7 @@ std::string report(const DetectorBank& bank, const OfflineKnowledge& knowledge, 
     cfg.context_gate.enabled = context_gate;
     obs::ScopedTelemetry telemetry;
     const SimulationResult r = run_eecs_simulation(bank, knowledge, cfg);
-    append(out, "mode=%d cpu=%.17g radio=%.17g detected=%d present=%d frames=%d rounds=%zu\n",
-           static_cast<int>(mode), r.cpu_joules, r.radio_joules, r.humans_detected,
-           r.humans_present, r.gt_frames_processed, r.rounds.size());
-    append(out, "  windows evaluated=%llu pruned=%llu\n",
-           static_cast<unsigned long long>(r.windows_evaluated),
-           static_cast<unsigned long long>(r.windows_pruned));
-    for (const auto& round : r.rounds) {
-      append(out, "  round@%d n*=%.17g p*=%.17g n=%.17g p=%.17g active=%d %s\n",
-             round.start_frame, round.stats.n_star, round.stats.p_star, round.stats.n_est,
-             round.stats.p_est, round.stats.cameras_active, round.stats.summary.c_str());
-    }
-    for (std::size_t c = 0; c < r.battery_residual.size(); ++c) {
-      append(out, "  battery[%zu]=%.17g\n", c, r.battery_residual[c]);
-    }
+    out += "mode=" + std::to_string(static_cast<int>(mode)) + " " + loop_digest::result(r);
     out += metric_lines(telemetry.session());
     out += ledger_lines(telemetry.session(), r);
   }
@@ -118,11 +95,7 @@ std::string report(const DetectorBank& bank, const OfflineKnowledge& knowledge, 
   fixed.context_gate.enabled = context_gate;
   obs::ScopedTelemetry telemetry;
   const SimulationResult r = run_fixed_combo(bank, knowledge, combo, fixed);
-  append(out, "fixed cpu=%.17g radio=%.17g detected=%d present=%d frames=%d\n", r.cpu_joules,
-         r.radio_joules, r.humans_detected, r.humans_present, r.gt_frames_processed);
-  append(out, "  windows evaluated=%llu pruned=%llu\n",
-         static_cast<unsigned long long>(r.windows_evaluated),
-         static_cast<unsigned long long>(r.windows_pruned));
+  out += "fixed " + loop_digest::result(r);
   out += metric_lines(telemetry.session());
   out += ledger_lines(telemetry.session(), r);
   return out;
