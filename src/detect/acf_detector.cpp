@@ -7,7 +7,6 @@
 #include "common/simd.hpp"
 #include "detect/frame_cache.hpp"
 #include "detect/nms.hpp"
-#include "detect/sweep_scheduler.hpp"
 #include "imaging/filter.hpp"
 
 namespace eecs::detect {
@@ -220,36 +219,21 @@ void AcfDetector::train(const TrainingSet& training_set, Rng& rng) {
 std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;
-  const imaging::Image& frame = pre.frame();
   const double total_alpha = total_alpha_;
-  const SweepGate* gate = pre.gate();
 
-  for (double scale : scales_) {
-    const int sw = static_cast<int>(std::lround(frame.width() * scale));
-    const int sh = static_cast<int>(std::lround(frame.height() * scale));
-    if (sw < kWindowWidth || sh < kWindowHeight) continue;
+  for (const Rung& rung : rungs(pre.frame().width(), pre.frame().height())) {
     // Anchor geometry from the dims alone (channel maps shrink by
-    // kAcfShrink), so fully pruned scales are accounted before any channel
+    // kAcfShrink), so fully pruned levels are accounted before any channel
     // work happens.
-    const int aw = sw / kAcfShrink;
-    const int ah = sh / kAcfShrink;
+    const int aw = rung.width / kAcfShrink;
+    const int ah = rung.height / kAcfShrink;
     const int max_x = aw - kAcfWindowX;
     const int max_y = ah - kAcfWindowY;
-    const auto row_windows = max_x >= 0 ? static_cast<std::uint64_t>(max_x) + 1 : 0;
-    const auto full_rows = max_y >= 0 ? static_cast<std::uint64_t>(max_y) + 1 : 0;
-    const RowInterval anchors = gated_anchor_rows(gate, sw, sh, kAcfShrink, 0, max_y);
-    const auto kept_rows =
-        anchors.empty() ? 0 : static_cast<std::uint64_t>(anchors.hi - anchors.lo) + 1;
-    if (cost != nullptr) {
-      cost->add_windows(row_windows * kept_rows, row_windows * (full_rows - kept_rows));
-    }
-    if (gate != nullptr && anchors.empty()) continue;  // Scale infeasible: no work at all.
-    // At scale 1.0 pre.scaled returns the frame itself, matching the old
-    // resize-free path; only resized levels are charged as pixel ops.
-    const imaging::Image& scaled = pre.scaled(sw, sh);
-    if (scale != 1.0 && cost != nullptr) cost->add_pixels(scaled.pixel_count());
+    const RowInterval anchors = sweep_rows(pre, rung, kAcfShrink, 0, max_x, max_y, cost);
+    if (anchors.empty()) continue;  // Pruned by the gate: no work at all.
+    level(pre, rung, cost);  // The resize the channels read, charged here.
 
-    const ChannelMap& channels = pre.acf_channels(sw, sh, cost);
+    const ChannelMap& channels = pre.acf_channels(rung.width, rung.height, cost);
     EECS_EXPECTS(channels.width == aw && channels.height == ah);
     // Each stump's (channel, cell) coordinates are fixed by its feature
     // index; resolve them to a flat offset into this scale's channel map once
@@ -288,14 +272,6 @@ std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounte
       }
     }
     const double reject_rhs = static_cast<double>(params_.cascade_margin) * total_alpha;
-    const auto emit = [&](int x0, int y0, double s) {
-      Detection d;
-      d.box = window_to_person_box({x0 * kAcfShrink / scale, y0 * kAcfShrink / scale,
-                                    kWindowWidth / scale, kWindowHeight / scale});
-      d.score = s;
-      d.probability = calibrated_probability(s);
-      candidates.push_back(d);
-    };
     // Evaluate stumps directly against the channel map (no feature
     // materialization), with soft-cascade early rejection. Lanes run across
     // adjacent x0 anchors: window_base steps by 1 per lane, so every stump
@@ -345,8 +321,9 @@ std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounte
           for (int l = 0; l < K; ++l) {
             const std::size_t evaluated = rejected[l] ? eval[l] : n_stumps;
             if (cost != nullptr) cost->add_classifier(2 * evaluated);
-            if (rejected[l] || tmp[l] <= params_.score_floor) continue;
-            emit(x0 + l, y0, tmp[l]);
+            if (!rejected[l]) {
+              emit(candidates, rung, (x0 + l) * kAcfShrink, y0 * kAcfShrink, tmp[l]);
+            }
           }
         }
         for (; x0 <= max_x; ++x0) {
@@ -369,8 +346,7 @@ std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounte
             }
           }
           if (cost != nullptr) cost->add_classifier(2 * evaluated);
-          if (was_rejected || s <= params_.score_floor) continue;
-          emit(x0, y0, s);
+          if (!was_rejected) emit(candidates, rung, x0 * kAcfShrink, y0 * kAcfShrink, s);
         }
       }
     });

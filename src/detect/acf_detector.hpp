@@ -58,8 +58,8 @@ struct ChannelMap {
 class AcfDetector final : public Detector {
  public:
   explicit AcfDetector(const AcfDetectorParams& params = {})
-      : params_(params),
-        scales_(pyramid_scales(params.min_scale, params.max_scale, params.scale_factor)) {}
+      : Detector(params.min_scale, params.max_scale, params.scale_factor, params.score_floor),
+        params_(params) {}
 
   using Detector::detect;
 
@@ -68,11 +68,6 @@ class AcfDetector final : public Detector {
   [[nodiscard]] bool trained() const override { return model_.trained(); }
 
  protected:
-  [[nodiscard]] std::vector<std::pair<int, int>> precompute_plan(int frame_width,
-                                                                 int frame_height) const override {
-    return plan_scaled_dims(scales_, frame_width, frame_height);
-  }
-
   [[nodiscard]] std::vector<Detection> run(FramePrecompute& pre,
                                            energy::CostCounter* cost) const override;
 
@@ -80,7 +75,6 @@ class AcfDetector final : public Detector {
 
  private:
   AcfDetectorParams params_;
-  std::vector<double> scales_;  ///< Hoisted: pyramid is a pure function of params.
   double total_alpha_ = 0.0;    ///< Hoisted from the scale loop; fixed at train time.
   BoostedModel model_;
 };

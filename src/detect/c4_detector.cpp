@@ -6,7 +6,6 @@
 #include "common/simd.hpp"
 #include "detect/frame_cache.hpp"
 #include "detect/nms.hpp"
-#include "detect/sweep_scheduler.hpp"
 #include "features/census.hpp"
 
 namespace eecs::detect {
@@ -204,56 +203,37 @@ void C4Detector::train(const TrainingSet& training_set, Rng& rng) {
 std::vector<Detection> C4Detector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;
-  const imaging::Image& frame = pre.frame();
-  const SweepGate* gate = pre.gate();
 
-  for (double scale : scales_) {
-    const int sw = static_cast<int>(std::lround(frame.width() * scale));
-    const int sh = static_cast<int>(std::lround(frame.height() * scale));
-    if (sw < kWindowWidth || sh < kWindowHeight) continue;
-
+  for (const Rung& rung : rungs(pre.frame().width(), pre.frame().height())) {
+    const int sw = rung.width;
+    const int sh = rung.height;
     // C4 scans densely: the 8-pixel cell grid is evaluated at 4 anchor
     // offsets, giving an effective 4-pixel window stride (the original C4
     // slides its contour windows far more densely than HOG does). This is
     // the dominant share of its compute cost.
     constexpr int kOffsets[4][2] = {{0, 0}, {4, 0}, {0, 4}, {4, 4}};
     // Per-offset anchor geometry from the dims alone (census cells over the
-    // offset crop), so pruned offsets — and fully pruned scales — are
-    // accounted before any resize or census work happens.
-    struct OffsetPlan {
-      bool fits = false;
-      int max_cx = -1;
-      RowInterval anchors;
-    };
-    OffsetPlan plans[4];
+    // offset crop), so pruned offsets — and fully pruned levels — are
+    // accounted before any resize or census work happens. An offset whose
+    // crop holds no window keeps empty rows and is skipped.
+    int max_cx[4] = {};
+    RowInterval anchors[4];
     bool any_rows = false;
     for (int i = 0; i < 4; ++i) {
       const int ox = kOffsets[i][0];
       const int oy = kOffsets[i][1];
       if (sw - ox < kWindowWidth || sh - oy < kWindowHeight) continue;
-      OffsetPlan& p = plans[i];
-      p.fits = true;
-      p.max_cx = (sw - ox) / kCensusCell - kCensusCellsX;
+      max_cx[i] = (sw - ox) / kCensusCell - kCensusCellsX;
       const int max_cy = (sh - oy) / kCensusCell - kCensusCellsY;
-      const auto row_windows = p.max_cx >= 0 ? static_cast<std::uint64_t>(p.max_cx) + 1 : 0;
-      const auto full_rows = max_cy >= 0 ? static_cast<std::uint64_t>(max_cy) + 1 : 0;
-      p.anchors = gated_anchor_rows(gate, sw, sh, kCensusCell, oy, max_cy);
-      const auto kept_rows =
-          p.anchors.empty() ? 0 : static_cast<std::uint64_t>(p.anchors.hi - p.anchors.lo) + 1;
-      if (cost != nullptr) {
-        cost->add_windows(row_windows * kept_rows, row_windows * (full_rows - kept_rows));
-      }
-      if (!p.anchors.empty()) any_rows = true;
+      anchors[i] = sweep_rows(pre, rung, kCensusCell, oy, max_cx[i], max_cy, cost);
+      any_rows = any_rows || !anchors[i].empty();
     }
-    if (gate != nullptr && !any_rows) continue;  // Scale infeasible: no work at all.
-
-    const imaging::Image& scaled = pre.scaled(sw, sh);
-    if (cost != nullptr) cost->add_pixels(scaled.pixel_count());
+    if (!any_rows) continue;  // Pruned by the gate: no work at all.
+    const imaging::Image& scaled = level(pre, rung, cost);
 
     for (int i = 0; i < 4; ++i) {
-      const OffsetPlan& p = plans[i];
-      if (!p.fits) continue;
-      if (gate != nullptr && p.anchors.empty()) continue;  // Offset's band infeasible.
+      const RowInterval rows = anchors[i];
+      if (rows.empty()) continue;  // Offset doesn't fit, or its band is pruned.
       const int ox = kOffsets[i][0];
       const int oy = kOffsets[i][1];
       if ((ox != 0 || oy != 0) && cost != nullptr) {
@@ -262,29 +242,21 @@ std::vector<Detection> C4Detector::run(FramePrecompute& pre, energy::CostCounter
       }
 
       const CensusCellGrid& grid = pre.census_grid(sw, sh, ox, oy, cost);
-      const int max_cx = p.max_cx;
-      EECS_EXPECTS(grid.cells_x() - kCensusCellsX == max_cx);
-      if (max_cx < 0 || p.anchors.empty()) continue;
-      std::vector<float> row(static_cast<std::size_t>(max_cx) + 1);
-      for (int cy = p.anchors.lo; cy <= p.anchors.hi; ++cy) {
+      const int row_windows = max_cx[i] + 1;
+      EECS_EXPECTS(grid.cells_x() - kCensusCellsX == max_cx[i]);
+      std::vector<float> row(static_cast<std::size_t>(row_windows));
+      for (int cy = rows.lo; cy <= rows.hi; ++cy) {
         if (pre.force_naive()) {
           // Legacy path: one strictly-ordered dot product per window.
-          for (int cx = 0; cx <= max_cx; ++cx) {
+          for (int cx = 0; cx < row_windows; ++cx) {
             row[static_cast<std::size_t>(cx)] = grid.window_score(model_, cx, cy, cost);
           }
         } else {
-          grid.window_scores_row(model_, 0, cy, max_cx + 1, row.data(), cost);
+          grid.window_scores_row(model_, 0, cy, row_windows, row.data(), cost);
         }
-        for (int cx = 0; cx <= max_cx; ++cx) {
-          const float s = row[static_cast<std::size_t>(cx)];
-          if (s <= params_.score_floor) continue;
-          Detection d;
-          d.box = window_to_person_box({(cx * kCensusCell + ox) / scale,
-                                        (cy * kCensusCell + oy) / scale, kWindowWidth / scale,
-                                        kWindowHeight / scale});
-          d.score = s;
-          d.probability = calibrated_probability(s);
-          candidates.push_back(d);
+        for (int cx = 0; cx < row_windows; ++cx) {
+          emit(candidates, rung, cx * kCensusCell + ox, cy * kCensusCell + oy,
+               row[static_cast<std::size_t>(cx)]);
         }
       }
     }

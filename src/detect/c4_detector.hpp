@@ -66,8 +66,8 @@ class CensusCellGrid {
 class C4Detector final : public Detector {
  public:
   explicit C4Detector(const C4DetectorParams& params = {})
-      : params_(params),
-        scales_(pyramid_scales(params.min_scale, params.max_scale, params.scale_factor)) {}
+      : Detector(params.min_scale, params.max_scale, params.scale_factor, params.score_floor),
+        params_(params) {}
 
   using Detector::detect;
 
@@ -76,17 +76,11 @@ class C4Detector final : public Detector {
   [[nodiscard]] bool trained() const override { return model_.trained(); }
 
  protected:
-  [[nodiscard]] std::vector<std::pair<int, int>> precompute_plan(int frame_width,
-                                                                 int frame_height) const override {
-    return plan_scaled_dims(scales_, frame_width, frame_height);
-  }
-
   [[nodiscard]] std::vector<Detection> run(FramePrecompute& pre,
                                            energy::CostCounter* cost) const override;
 
  private:
   C4DetectorParams params_;
-  std::vector<double> scales_;  ///< Hoisted: pyramid is a pure function of params.
   LinearModel model_;
 };
 

@@ -8,6 +8,7 @@
 #include "detect/frame_cache.hpp"
 #include "detect/hog_detector.hpp"
 #include "detect/lsvm_detector.hpp"
+#include "detect/sweep_scheduler.hpp"
 #include "obs/telemetry.hpp"
 
 namespace eecs::detect {
@@ -27,6 +28,9 @@ const char* invocation_metric(AlgorithmId id) {
 
 }  // namespace
 
+Detector::Detector(double min_scale, double max_scale, double scale_factor, float score_floor)
+    : scales_(pyramid_scales(min_scale, max_scale, scale_factor)), score_floor_(score_floor) {}
+
 std::vector<Detection> Detector::detect(const imaging::Image& frame,
                                         energy::CostCounter* cost) const {
   FramePrecompute local(frame);
@@ -44,6 +48,61 @@ std::vector<Detection> Detector::detect(FramePrecompute& pre, energy::CostCounte
         .observe(static_cast<double>(detections.size()));
   }
   return detections;
+}
+
+std::vector<Rung> Detector::rungs(int frame_width, int frame_height) const {
+  std::vector<Rung> out;
+  out.reserve(scales_.size());
+  for (double scale : scales_) {
+    const int sw = static_cast<int>(std::lround(frame_width * scale));
+    const int sh = static_cast<int>(std::lround(frame_height * scale));
+    if (sw < kWindowWidth || sh < kWindowHeight) continue;
+    out.push_back({scale, sw, sh});
+  }
+  return out;
+}
+
+std::vector<std::pair<int, int>> Detector::precompute_plan(int frame_width,
+                                                           int frame_height) const {
+  std::vector<std::pair<int, int>> dims;
+  for (const Rung& rung : rungs(frame_width, frame_height)) {
+    if (rung.width == frame_width && rung.height == frame_height) continue;
+    dims.emplace_back(rung.width, rung.height);
+  }
+  return dims;
+}
+
+RowInterval Detector::sweep_rows(const FramePrecompute& pre, const Rung& rung, int stride,
+                                 int offset, int max_x, int max_y,
+                                 energy::CostCounter* cost) const {
+  EECS_EXPECTS(max_x >= 0 && max_y >= 0);
+  const RowInterval rows =
+      gated_anchor_rows(pre.gate(), rung.width, rung.height, stride, offset, max_y);
+  if (cost != nullptr) {
+    const auto row_windows = static_cast<std::uint64_t>(max_x) + 1;
+    const auto full_rows = static_cast<std::uint64_t>(max_y) + 1;
+    const auto kept_rows = rows.empty() ? 0 : static_cast<std::uint64_t>(rows.hi - rows.lo) + 1;
+    cost->add_windows(row_windows * kept_rows, row_windows * (full_rows - kept_rows));
+  }
+  return rows;
+}
+
+const imaging::Image& Detector::level(FramePrecompute& pre, const Rung& rung,
+                                      energy::CostCounter* cost) const {
+  const imaging::Image& scaled = pre.scaled(rung.width, rung.height);
+  if (&scaled != &pre.frame() && cost != nullptr) cost->add_pixels(scaled.pixel_count());
+  return scaled;
+}
+
+void Detector::emit(std::vector<Detection>& out, const Rung& rung, int x, int y,
+                    double score) const {
+  if (score <= score_floor_) return;
+  Detection d;
+  d.box = window_to_person_box({x / rung.scale, y / rung.scale, kWindowWidth / rung.scale,
+                                kWindowHeight / rung.scale});
+  d.score = score;
+  d.probability = platt_.probability(score);
+  out.push_back(d);
 }
 
 std::unique_ptr<Detector> make_detector(AlgorithmId id) {
@@ -76,21 +135,6 @@ std::vector<double> pyramid_scales(double min_scale, double max_scale, double fa
   std::vector<double> scales;
   for (double s = max_scale; s >= min_scale * 0.999; s /= factor) scales.push_back(s);
   return scales;
-}
-
-std::vector<std::pair<int, int>> plan_scaled_dims(const std::vector<double>& scales,
-                                                  int frame_width, int frame_height) {
-  std::vector<std::pair<int, int>> dims;
-  dims.reserve(scales.size());
-  for (double scale : scales) {
-    // Same rounding and guard as every detector's scan loop.
-    const int sw = static_cast<int>(std::lround(frame_width * scale));
-    const int sh = static_cast<int>(std::lround(frame_height * scale));
-    if (sw < kWindowWidth || sh < kWindowHeight) continue;
-    if (sw == frame_width && sh == frame_height) continue;
-    dims.emplace_back(sw, sh);
-  }
-  return dims;
 }
 
 imaging::Rect window_to_person_box(const imaging::Rect& window) {

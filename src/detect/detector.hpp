@@ -19,6 +19,26 @@ namespace eecs::detect {
 
 class FramePrecompute;
 
+/// One level of a detector's scale pyramid on a given frame: the ladder
+/// scale and the scaled dims it rounds to.
+struct Rung {
+  double scale = 1.0;
+  int width = 0;
+  int height = 0;
+};
+
+/// Inclusive row interval (pixels or anchor rows); empty when hi < lo.
+struct RowInterval {
+  int lo = 0;
+  int hi = -1;
+  [[nodiscard]] bool empty() const { return hi < lo; }
+};
+
+/// Base of the four sliding-window detectors. It owns what their scans
+/// share: the scale ladder, the gate check and window accounting of each
+/// anchor grid, the resized level and its pixel charge, and the mapping of
+/// a scored window to a calibrated person detection. Subclasses keep only
+/// their substrates and scoring.
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -49,21 +69,45 @@ class Detector {
   [[nodiscard]] std::vector<Detection> detect(FramePrecompute& pre,
                                               energy::CostCounter* cost = nullptr) const;
 
-  /// The scaled-frame dimensions run() will request from a FramePrecompute
-  /// for a frame of the given size — the detector's pyramid geometry with the
-  /// same lround/minimum-window guards as the scan loop, identity dims
-  /// omitted (scaled() returns the frame itself there). SweepScheduler
-  /// enumerates these scales into its (scale, row band) tiles, which the
-  /// context gate prunes and the work-list accounting counts. Default: empty.
-  [[nodiscard]] virtual std::vector<std::pair<int, int>> precompute_plan(
-      int /*frame_width*/, int /*frame_height*/) const {
-    return {};
-  }
+  /// The pyramid levels run() scans on a frame of the given size, largest
+  /// first: every ladder scale whose (lround(w*s), lround(h*s)) dims still
+  /// hold one kWindowWidth x kWindowHeight window. The scans, precompute_plan
+  /// and SweepScheduler's tile count all walk this one list.
+  [[nodiscard]] std::vector<Rung> rungs(int frame_width, int frame_height) const;
+
+  /// The scaled-frame dims run() requests from a FramePrecompute: rungs()
+  /// minus the frame's own dims (scaled() returns the frame itself there).
+  [[nodiscard]] std::vector<std::pair<int, int>> precompute_plan(int frame_width,
+                                                                 int frame_height) const;
 
  protected:
+  /// Geometric ladder [max_scale, ..., >= min_scale], see pyramid_scales();
+  /// `score_floor` discards candidates at or below it before NMS.
+  Detector(double min_scale, double max_scale, double scale_factor, float score_floor);
+
   /// The actual sliding-window scan; see detect(FramePrecompute&) above.
   [[nodiscard]] virtual std::vector<Detection> run(FramePrecompute& pre,
                                                    energy::CostCounter* cost) const = 0;
+
+  /// Anchor rows to scan of one anchor grid over `rung`, whose anchor (x, y)
+  /// places its window top-left at (x * stride, y * stride + offset) scaled
+  /// pixels, x in [0, max_x] and y in [0, max_y] (both >= 0: the grid holds
+  /// a window). The pre's context gate, if attached, narrows the rows; every
+  /// anchor is charged to `cost` as evaluated or pruned, so the two always
+  /// sum to the full sweep. Only a gate can empty the interval.
+  [[nodiscard]] RowInterval sweep_rows(const FramePrecompute& pre, const Rung& rung, int stride,
+                                       int offset, int max_x, int max_y,
+                                       energy::CostCounter* cost) const;
+
+  /// The frame resized to `rung`, charged as one pixel pass unless it is the
+  /// frame itself.
+  const imaging::Image& level(FramePrecompute& pre, const Rung& rung,
+                              energy::CostCounter* cost) const;
+
+  /// Append the window whose top-left sits at scaled pixel (x, y) of `rung`
+  /// to `out` as a person box in frame coordinates with its calibrated
+  /// probability, unless `score` is at or below the score floor.
+  void emit(std::vector<Detection>& out, const Rung& rung, int x, int y, double score) const;
 
   /// Fit Platt calibration from training-window scores.
   void fit_score_calibration(const std::vector<double>& positive_scores,
@@ -71,11 +115,9 @@ class Detector {
     platt_ = fit_platt(positive_scores, negative_scores);
   }
 
-  [[nodiscard]] double calibrated_probability(double score) const {
-    return platt_.probability(score);
-  }
-
  private:
+  std::vector<double> scales_;  ///< Pyramid ladder: a pure function of the params.
+  float score_floor_;
   PlattScaling platt_;
 };
 
@@ -89,13 +131,6 @@ class Detector {
 /// Geometric scale ladder [max_scale, ..., >= min_scale], dividing by
 /// `factor` each step. Scales > 1 mean upsampling the frame.
 [[nodiscard]] std::vector<double> pyramid_scales(double min_scale, double max_scale, double factor);
-
-/// Shared precompute_plan implementation: the (lround(w*s), lround(h*s)) dims
-/// of every ladder scale that passes the detectors' common minimum-window
-/// guard, identity dims omitted. All four detectors scan with this exact
-/// geometry, so their precompute_plan overrides delegate here.
-[[nodiscard]] std::vector<std::pair<int, int>> plan_scaled_dims(const std::vector<double>& scales,
-                                                                int frame_width, int frame_height);
 
 /// Convert a raw sliding-window rectangle into the person-extent box it
 /// implies: training patches place the person at ~88% of the window height

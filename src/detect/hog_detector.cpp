@@ -1,11 +1,9 @@
 #include "detect/hog_detector.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "detect/frame_cache.hpp"
 #include "detect/nms.hpp"
-#include "detect/sweep_scheduler.hpp"
 
 namespace eecs::detect {
 
@@ -39,50 +37,29 @@ void HogDetector::train(const TrainingSet& training_set, Rng& rng) {
 std::vector<Detection> HogDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {
   EECS_EXPECTS(trained());
   std::vector<Detection> candidates;
-  const imaging::Image& frame = pre.frame();
   const int cell = hog_params_.cell_size;
   const int bs = hog_params_.block_size;
-  const SweepGate* gate = pre.gate();
 
-  for (double scale : scales_) {
-    const int sw = static_cast<int>(std::lround(frame.width() * scale));
-    const int sh = static_cast<int>(std::lround(frame.height() * scale));
-    if (sw < kWindowWidth || sh < kWindowHeight) continue;
+  for (const Rung& rung : rungs(pre.frame().width(), pre.frame().height())) {
     // Anchor geometry from the dims alone (same arithmetic as BlockGrid's
-    // construction), so a fully pruned scale is accounted before any resize
+    // construction), so a fully pruned level is accounted before any resize
     // or channel work happens.
-    const int blocks_x = std::max(0, sw / cell - bs + 1);
-    const int blocks_y = std::max(0, sh / cell - bs + 1);
+    const int blocks_x = std::max(0, rung.width / cell - bs + 1);
+    const int blocks_y = std::max(0, rung.height / cell - bs + 1);
     const int max_cx = blocks_x - (kWindowCellsX - bs + 1);
     const int max_cy = blocks_y - (kWindowCellsY - bs + 1);
-    const auto row_windows = max_cx >= 0 ? static_cast<std::uint64_t>(max_cx) + 1 : 0;
-    const auto full_rows = max_cy >= 0 ? static_cast<std::uint64_t>(max_cy) + 1 : 0;
-    const RowInterval anchors = gated_anchor_rows(gate, sw, sh, cell, 0, max_cy);
-    const auto kept_rows =
-        anchors.empty() ? 0 : static_cast<std::uint64_t>(anchors.hi - anchors.lo) + 1;
-    if (cost != nullptr) {
-      cost->add_windows(row_windows * kept_rows, row_windows * (full_rows - kept_rows));
-    }
-    if (gate != nullptr && anchors.empty()) continue;  // Scale infeasible: no work at all.
-    const imaging::Image& scaled = pre.scaled(sw, sh);
-    if (cost != nullptr) cost->add_pixels(scaled.pixel_count());
+    const RowInterval anchors = sweep_rows(pre, rung, cell, 0, max_cx, max_cy, cost);
+    if (anchors.empty()) continue;  // Pruned by the gate: no work at all.
+    level(pre, rung, cost);  // The resize the grid reads, charged here.
 
-    const BlockGrid& grid = pre.block_grid(sw, sh, hog_params_, cost);
+    const BlockGrid& grid = pre.block_grid(rung.width, rung.height, hog_params_, cost);
     EECS_EXPECTS(grid.blocks_x() == blocks_x && grid.blocks_y() == blocks_y);
-
-    auto emit = [&](int cx, int cy, float s) {
-      if (s <= params_.score_floor) return;
-      Detection d;
-      d.box = window_to_person_box({cx * cell / scale, cy * cell / scale, kWindowWidth / scale, kWindowHeight / scale});
-      d.score = s;
-      d.probability = calibrated_probability(s);
-      candidates.push_back(d);
-    };
 
     if (pre.force_naive()) {
       for (int cy = anchors.lo; cy <= anchors.hi; ++cy) {
         for (int cx = 0; cx <= max_cx; ++cx) {
-          emit(cx, cy, grid.window_score(model_, cx, cy, kWindowCellsX, kWindowCellsY, cost));
+          emit(candidates, rung, cx * cell, cy * cell,
+               grid.window_score(model_, cx, cy, kWindowCellsX, kWindowCellsY, cost));
         }
       }
     } else {
@@ -98,7 +75,9 @@ std::vector<Detection> HogDetector::run(FramePrecompute& pre, energy::CostCounte
                              static_cast<std::uint64_t>(map.height));
       }
       for (int cy = 0; cy < map.height; ++cy) {
-        for (int cx = 0; cx < map.width; ++cx) emit(cx, map.y0 + cy, map.at(cx, cy));
+        for (int cx = 0; cx < map.width; ++cx) {
+          emit(candidates, rung, cx * cell, (map.y0 + cy) * cell, map.at(cx, cy));
+        }
       }
     }
   }

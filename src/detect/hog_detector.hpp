@@ -19,8 +19,8 @@ struct HogDetectorParams {
 class HogDetector final : public Detector {
  public:
   explicit HogDetector(const HogDetectorParams& params = {})
-      : params_(params),
-        scales_(pyramid_scales(params.min_scale, params.max_scale, params.scale_factor)) {}
+      : Detector(params.min_scale, params.max_scale, params.scale_factor, params.score_floor),
+        params_(params) {}
 
   using Detector::detect;
 
@@ -29,11 +29,6 @@ class HogDetector final : public Detector {
   [[nodiscard]] bool trained() const override { return model_.trained(); }
 
  protected:
-  [[nodiscard]] std::vector<std::pair<int, int>> precompute_plan(int frame_width,
-                                                                 int frame_height) const override {
-    return plan_scaled_dims(scales_, frame_width, frame_height);
-  }
-
   [[nodiscard]] std::vector<Detection> run(FramePrecompute& pre,
                                            energy::CostCounter* cost) const override;
 
@@ -42,7 +37,6 @@ class HogDetector final : public Detector {
  private:
   HogDetectorParams params_;
   features::HogParams hog_params_;        ///< Hoisted: identical for every call.
-  std::vector<double> scales_;            ///< Hoisted: pyramid is a pure function of params.
   LinearModel model_;
 };
 

@@ -38,8 +38,8 @@ struct LsvmDetectorParams {
 class LsvmDetector final : public Detector {
  public:
   explicit LsvmDetector(const LsvmDetectorParams& params = {})
-      : params_(params),
-        scales_(pyramid_scales(params.min_scale, params.max_scale, params.scale_factor)) {}
+      : Detector(params.min_scale, params.max_scale, params.scale_factor, params.score_floor),
+        params_(params) {}
 
   using Detector::detect;
 
@@ -48,11 +48,6 @@ class LsvmDetector final : public Detector {
   [[nodiscard]] bool trained() const override { return root_.trained(); }
 
  protected:
-  [[nodiscard]] std::vector<std::pair<int, int>> precompute_plan(int frame_width,
-                                                                 int frame_height) const override {
-    return plan_scaled_dims(scales_, frame_width, frame_height);
-  }
-
   [[nodiscard]] std::vector<Detection> run(FramePrecompute& pre,
                                            energy::CostCounter* cost) const override;
 
@@ -63,7 +58,6 @@ class LsvmDetector final : public Detector {
 
   LsvmDetectorParams params_;
   features::HogParams hog_params_;  ///< Hoisted: identical for every call.
-  std::vector<double> scales_;      ///< Hoisted: pyramid is a pure function of params.
   LinearModel root_;
   std::array<LinearModel, kNumParts> parts_;
 };

@@ -140,15 +140,13 @@ void SweepScheduler::plan(std::size_t i, const imaging::Image& frame, const Dete
     }
   }
   const int band = std::max(1, options_.band_rows);
-  for (const auto& [dst_w, dst_h] : detector.precompute_plan(frame.width(), frame.height())) {
+  for (const Rung& rung : detector.rungs(frame.width(), frame.height())) {
     // Tile accounting: every (scale, row band) of this slot enters the
     // work-list; the gate drops the bands outside the feasible interval.
-    const int t_max = dst_h - kWindowHeight;
-    const std::uint64_t bands =
-        t_max >= 0 ? static_cast<std::uint64_t>(t_max / band) + 1 : 0;
+    const auto bands = static_cast<std::uint64_t>((rung.height - kWindowHeight) / band) + 1;
     std::uint64_t kept = bands;
     if (slot.gate != nullptr) {
-      const RowInterval rows = slot.gate->top_rows(dst_w, dst_h);
+      const RowInterval rows = slot.gate->top_rows(rung.width, rung.height);
       kept = rows.empty() ? 0
                           : static_cast<std::uint64_t>(rows.hi / band - rows.lo / band) + 1;
     }

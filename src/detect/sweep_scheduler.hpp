@@ -32,20 +32,12 @@
 #include <memory>
 #include <vector>
 
+#include "detect/detector.hpp"
 #include "detect/frame_cache.hpp"
 #include "geometry/camera.hpp"
 #include "imaging/image.hpp"
 
 namespace eecs::detect {
-
-class Detector;
-
-/// Inclusive pixel-row interval; empty when hi < lo.
-struct RowInterval {
-  int lo = 0;
-  int hi = -1;
-  [[nodiscard]] bool empty() const { return hi < lo; }
-};
 
 /// Knobs of the context-aware scale/region gate. Defaults leave it off and
 /// the simulation bit-identical to a build without the scheduler.
@@ -123,8 +115,8 @@ class SweepScheduler {
   SweepScheduler& operator=(const SweepScheduler&) = delete;
   ~SweepScheduler();
 
-  /// Register slot `i` over `frame` and expand the scaled dims `detector`
-  /// will request into (scale, row band) tiles. May be called
+  /// Register slot `i` over `frame` and expand every pyramid level
+  /// `detector` scans (its rungs()) into (scale, row band) tiles. May be called
   /// repeatedly for one slot — the assessment sweep runs several algorithms
   /// per camera — but always with the same frame. `camera` supplies the
   /// slot's calibration; null (or gate off) leaves the slot ungated.

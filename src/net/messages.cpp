@@ -9,6 +9,14 @@ void check_type(ByteReader& reader, MessageType expected) {
   if (type != expected) throw ByteReader::DecodeError("unexpected message type");
 }
 
+/// A decoded id indexes the detector bank downstream, so the wire may carry
+/// only the ids the bank has.
+std::uint8_t read_algorithm(ByteReader& reader) {
+  const std::uint8_t id = reader.read_u8();
+  if (id >= detect::kNumAlgorithms) throw ByteReader::DecodeError("algorithm id out of range");
+  return id;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const FeatureUploadMsg& msg) {
@@ -101,7 +109,7 @@ DetectionMetadataMsg decode_detection_metadata(std::span<const std::uint8_t> byt
   DetectionMetadataMsg msg;
   msg.camera_id = r.read_i32();
   msg.frame_index = r.read_i32();
-  msg.algorithm = r.read_u8();
+  msg.algorithm = read_algorithm(r);
   const std::uint32_t count = r.read_u32();
   // Each object is exactly 172 wire bytes; a count that cannot fit in the
   // remaining payload is a corrupt length prefix, not a huge allocation.
@@ -129,7 +137,7 @@ AlgorithmAssignmentMsg decode_algorithm_assignment(std::span<const std::uint8_t>
   AlgorithmAssignmentMsg msg;
   msg.camera_id = r.read_i32();
   msg.sequence = r.read_u32();
-  msg.algorithm = r.read_u8();
+  msg.algorithm = read_algorithm(r);
   msg.threshold = r.read_f64();
   msg.active = r.read_u8();
   return msg;

@@ -48,8 +48,6 @@ Network::Network(const energy::RadioModel& radio, std::uint64_t seed)
 
 int Network::add_node(const LinkQuality& link) {
   links_.push_back(link);
-  node_radio_joules_.push_back(0.0);
-  node_bytes_.push_back(0);
   return static_cast<int>(links_.size()) - 1;
 }
 
@@ -72,11 +70,7 @@ TxResult Network::send(int from_node, int to_node, std::vector<std::uint8_t> pay
   if (cause_sent_[cause_slot] != nullptr) cause_sent_[cause_slot]->inc();
 
   result.tx_seconds = static_cast<double>(payload.size()) / link.bandwidth_bytes_per_s;
-  if (tx_class == TxClass::Data) {
-    result.tx_joules = radio_.tx_joules(payload.size());
-    node_radio_joules_[static_cast<std::size_t>(from_node)] += result.tx_joules;
-    node_bytes_[static_cast<std::size_t>(from_node)] += payload.size();
-  }
+  if (tx_class == TxClass::Data) result.tx_joules = radio_.tx_joules(payload.size());
 
   const double loss =
       faults_.loss_probability(from_node, to_node, now_, link.loss_probability);
@@ -111,24 +105,12 @@ std::vector<Network::Delivery> Network::advance_to(double until_time) {
   return out;
 }
 
-double Network::radio_joules(int node) const {
-  EECS_EXPECTS(node >= 0 && node < node_count());
-  return node_radio_joules_[static_cast<std::size_t>(node)];
-}
-
-std::uint64_t Network::bytes_sent(int node) const {
-  EECS_EXPECTS(node >= 0 && node < node_count());
-  return node_bytes_[static_cast<std::size_t>(node)];
-}
-
 Network::State Network::export_state() const {
   State state;
   state.now = now_;
   state.sequence = sequence_;
   state.rx_dropped = rx_dropped_;
   state.rng = rng_.state();
-  state.node_radio_joules = node_radio_joules_;
-  state.node_bytes = node_bytes_;
   // priority_queue has no iteration; drain a copy. Entries come out in
   // delivery order, which import_state re-heapifies identically.
   auto queue_copy = queue_;
@@ -142,14 +124,10 @@ Network::State Network::export_state() const {
 }
 
 void Network::import_state(State state) {
-  EECS_EXPECTS(state.node_radio_joules.size() == node_radio_joules_.size());
-  EECS_EXPECTS(state.node_bytes.size() == node_bytes_.size());
   now_ = state.now;
   sequence_ = state.sequence;
   rx_dropped_ = state.rx_dropped;
   rng_.restore(state.rng);
-  node_radio_joules_ = std::move(state.node_radio_joules);
-  node_bytes_ = std::move(state.node_bytes);
   queue_ = {};
   for (QueuedMessage& m : state.queue) {
     queue_.push({m.time, m.sequence, m.from_node, m.to_node, std::move(m.payload)});

@@ -91,10 +91,6 @@ class Network {
   /// delivery instant are dropped (counted in rx_dropped()).
   std::vector<Delivery> advance_to(double until_time);
 
-  /// Total radio energy spent by a node so far.
-  [[nodiscard]] double radio_joules(int node) const;
-  /// Total payload bytes offered by a node (including lost messages).
-  [[nodiscard]] std::uint64_t bytes_sent(int node) const;
   /// Messages dropped at the receiver because it was crashed at delivery time.
   [[nodiscard]] std::uint64_t rx_dropped() const { return rx_dropped_; }
 
@@ -109,22 +105,21 @@ class Network {
   };
 
   /// Full dynamic state for checkpoint/restore: clock, send sequence, RNG
-  /// stream, per-node energy/byte tallies, receiver-drop count, and the
-  /// undelivered event queue. Links and the fault plan are configuration,
-  /// not state — a restored network must be built with the same ones.
+  /// stream, receiver-drop count, and the undelivered event queue. Links and
+  /// the fault plan are configuration, not state — a restored network must
+  /// be built with the same ones.
   struct State {
     double now = 0.0;
     std::uint64_t sequence = 0;
     std::uint64_t rx_dropped = 0;
     Rng::State rng;
-    std::vector<double> node_radio_joules;
-    std::vector<std::uint64_t> node_bytes;
     std::vector<QueuedMessage> queue;
   };
   [[nodiscard]] State export_state() const;
-  /// Restores export_state()'s capture; requires the same node topology
-  /// (node counts must match). Subsequent sends/deliveries are bit-identical
-  /// to a network that never went through the save/restore cycle.
+  /// Restores export_state()'s capture into a network built with the same
+  /// nodes, links and fault plan. Subsequent sends/deliveries are
+  /// bit-identical to a network that never went through the save/restore
+  /// cycle.
   void import_state(State state);
 
  private:
@@ -161,8 +156,6 @@ class Network {
   Rng rng_;
   FaultPlan faults_;
   std::vector<LinkQuality> links_;
-  std::vector<double> node_radio_joules_;
-  std::vector<std::uint64_t> node_bytes_;
   std::priority_queue<PendingDelivery, std::vector<PendingDelivery>, Later> queue_;
   double now_ = 0.0;
   std::uint64_t sequence_ = 0;

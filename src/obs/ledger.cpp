@@ -130,13 +130,6 @@ void EnergyLedger::drain(int camera, double joules) {
   residual -= drained;
 }
 
-void EnergyLedger::restore_residual(int camera, double joules) {
-  if (camera < 0 || camera >= static_cast<int>(mirror_residual_.size())) return;
-  const double cap = mirror_capacity_[static_cast<std::size_t>(camera)];
-  // Mirror of energy::Battery::restore_residual's clamp to [0, capacity].
-  mirror_residual_[static_cast<std::size_t>(camera)] = std::clamp(joules, 0.0, cap);
-}
-
 double EnergyLedger::camera_joules(int camera) const {
   if (camera < 0 || camera >= static_cast<int>(camera_joules_.size())) return 0.0;
   return camera_joules_[static_cast<std::size_t>(camera)];

@@ -113,8 +113,6 @@ class EnergyLedger {
   /// Mirror of energy::Battery::drain — identical clamp, applied at the same
   /// call points with the same double, so mirrors track residuals bitwise.
   void drain(int camera, double joules);
-  /// Mirror of Battery::restore_residual (checkpoint resume).
-  void restore_residual(int camera, double joules);
 
   [[nodiscard]] double cpu_total() const { return cpu_total_; }
   [[nodiscard]] double radio_total() const { return radio_total_; }

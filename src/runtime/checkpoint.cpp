@@ -59,8 +59,7 @@ constexpr auto fields(Of<Rng::State>) {
 }
 constexpr auto fields(Of<net::Network::State>) {
   using S = net::Network::State;
-  return std::tuple{&S::now,        &S::sequence,   &S::rx_dropped, &S::rng,
-                    &S::node_radio_joules, &S::node_bytes, &S::queue};
+  return std::tuple{&S::now, &S::sequence, &S::rx_dropped, &S::rng, &S::queue};
 }
 constexpr auto fields(Of<net::Network::QueuedMessage>) {
   using S = net::Network::QueuedMessage;
@@ -232,10 +231,6 @@ SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> 
       require(p.camera >= 0 && p.camera < num_cameras,
               "pending assignment references unknown camera");
     }
-    // Node 0 is the controller; cameras are nodes 1..num_cameras.
-    require(ck.network.node_radio_joules.size() == cameras + 1 &&
-                ck.network.node_bytes.size() == cameras + 1,
-            "network node arrays disagree with camera count");
     // An EECS_OBS_OFF build never arms the ledger and writes it empty.
     const std::size_t ledger_cameras = ck.ledger.camera_joules.size();
     require((ledger_cameras == 0 || ledger_cameras == cameras) &&

@@ -18,6 +18,7 @@
 #include "detect/lsvm_detector.hpp"
 #include "detect/nms.hpp"
 #include "detect/sweep_scheduler.hpp"
+#include "setup_digest.hpp"
 #include "video/scene.hpp"
 #include "video/sprite.hpp"
 
@@ -411,19 +412,9 @@ const std::array<std::vector<GoldenDetection>, 8>& golden_lists() {
   return lists;
 }
 
-/// Fixed-seed frame per environment; must stay in lockstep with
-/// tools/golden_detections (which regenerates the .inc lists).
-imaging::Image golden_frame(int dataset) {
-  video::SceneSimulator sim(video::dataset_by_id(dataset), 4242);
-  sim.skip(100);
-  imaging::Image frame = sim.next_frame_single(0);
-  if (dataset == 2) frame = frame.crop(320, 240, 384, 288);
-  return frame;
-}
-
 void expect_golden(int dataset) {
   const auto& detectors = trained_bank();
-  const imaging::Image frame = golden_frame(dataset);
+  const imaging::Image frame = setup_digest::golden_frame(dataset);
   // One cache across all four detectors, exercising cross-detector reuse
   // (HOG and LSVM share block grids at coinciding pyramid levels).
   FramePrecompute shared(frame);
@@ -697,6 +688,36 @@ TEST(SweepGate, AnchorConversionRespectsStrideAndOffset) {
       }
     }
   }
+}
+
+// The work-list counts a tile for every (scale, row band) a detector scans,
+// the full-resolution level included: ACF's ladder starts at 1.0, where
+// scaled() hands back the frame itself and precompute_plan() lists nothing.
+TEST(SweepScheduler, TilesCoverEveryScannedLevel) {
+  video::SceneSimulator sim(video::dataset_by_id(1), 4242);
+  const imaging::Image frame = sim.next_frame_single(0);
+  ASSERT_EQ(frame.width(), 360);
+  ASSERT_EQ(frame.height(), 288);
+  const AcfDetector acf;  // Planning reads only the pyramid, not a model.
+
+  SweepScheduler crop_sched(1);
+  const imaging::Image crop = frame.crop(0, 0, kWindowWidth, kWindowHeight);
+  crop_sched.plan(0, crop, acf);
+  EXPECT_EQ(crop_sched.tiles_planned(), 1u);
+
+  const AcfDetectorParams params;
+  const int band = ContextGateOptions{}.band_rows;
+  std::uint64_t want = 0;
+  for (double s : pyramid_scales(params.min_scale, params.max_scale, params.scale_factor)) {
+    const long w = std::lround(frame.width() * s);
+    const long h = std::lround(frame.height() * s);
+    if (w < kWindowWidth || h < kWindowHeight) continue;
+    want += static_cast<std::uint64_t>((h - kWindowHeight) / band) + 1;
+  }
+  SweepScheduler frame_sched(1);
+  frame_sched.plan(0, frame, acf);
+  EXPECT_EQ(frame_sched.tiles_planned(), want);
+  EXPECT_EQ(want, 34u);
 }
 
 TEST(SweepScheduler, UnplannedSlotsAreReported) {

@@ -126,6 +126,23 @@ TEST(Messages, AssignmentAndEnergyReportRoundTrip) {
   EXPECT_DOUBLE_EQ(r.residual_joules, 123.5);
 }
 
+TEST(Messages, AlgorithmIdsOutsideTheBankAreRejected) {
+  // The decoded id indexes the detector bank, so ids past the last
+  // algorithm must not decode.
+  for (const std::uint8_t bad : {std::uint8_t{4}, std::uint8_t{255}}) {
+    SCOPED_TRACE(static_cast<int>(bad));
+    net::AlgorithmAssignmentMsg assign;
+    assign.algorithm = bad;
+    EXPECT_THROW((void)net::decode_algorithm_assignment(encode(assign)), ByteReader::DecodeError);
+    net::DetectionMetadataMsg meta;
+    meta.algorithm = bad;
+    EXPECT_THROW((void)net::decode_detection_metadata(encode(meta)), ByteReader::DecodeError);
+  }
+  net::AlgorithmAssignmentMsg last;
+  last.algorithm = detect::kNumAlgorithms - 1;
+  EXPECT_EQ(net::decode_algorithm_assignment(encode(last)).algorithm, last.algorithm);
+}
+
 TEST(Messages, WrongTypeThrows) {
   const auto bytes = encode(net::EnergyReportMsg{1, 2.0});
   EXPECT_THROW((void)net::decode_feature_upload(bytes), ByteReader::DecodeError);
@@ -178,8 +195,9 @@ TEST(Network, LossChargesEnergyButDropsPayload) {
   EXPECT_FALSE(tx.delivered);
   EXPECT_GT(tx.tx_joules, 0.0);
   EXPECT_TRUE(network.advance_to(10.0).empty());
-  EXPECT_GT(network.radio_joules(camera), 0.0);
-  EXPECT_EQ(network.bytes_sent(camera), 100u);
+  // The lost message still occupied the air for its full 100 bytes.
+  EXPECT_EQ(tx.tx_joules, energy::RadioModel{}.tx_joules(100));
+  EXPECT_GT(tx.tx_seconds, 0.0);
 }
 
 TEST(Network, RadioEnergyScalesWithBytes) {
@@ -232,8 +250,7 @@ TEST(Network, ControlClassChargesNoEnergyButIsStillLossy) {
       network.send(camera, controller, std::vector<std::uint8_t>(50, 1), net::TxClass::Control);
   EXPECT_TRUE(tx.delivered);
   EXPECT_DOUBLE_EQ(tx.tx_joules, 0.0);
-  EXPECT_DOUBLE_EQ(network.radio_joules(camera), 0.0);
-  EXPECT_EQ(network.bytes_sent(camera), 0u);
+  EXPECT_GT(tx.tx_seconds, 0.0);  // The bytes still cross the link.
   EXPECT_EQ(network.advance_to(1.0).size(), 1u);
 
   net::Network lossy_net({}, 7);
@@ -293,7 +310,7 @@ TEST(Network, CrashedSenderTransmitsNothingAndPaysNothing) {
   const auto tx = network.send(camera, controller, std::vector<std::uint8_t>(100, 0));
   EXPECT_FALSE(tx.delivered);
   EXPECT_DOUBLE_EQ(tx.tx_joules, 0.0);
-  EXPECT_EQ(network.bytes_sent(camera), 0u);
+  EXPECT_DOUBLE_EQ(tx.tx_seconds, 0.0);  // Nothing left the node.
   EXPECT_TRUE(network.node_down(camera));
 }
 

@@ -322,8 +322,6 @@ TEST(Ledger, DrainClampMirrorsBattery) {
   EXPECT_DOUBLE_EQ(ledger.mirror_residual(0), 0.25);
   ledger.drain(0, 5.0);  // Over-drain clamps at zero, like energy::Battery.
   EXPECT_DOUBLE_EQ(ledger.mirror_residual(0), 0.0);
-  ledger.restore_residual(0, 99.0);  // Restore clamps to capacity.
-  EXPECT_DOUBLE_EQ(ledger.mirror_residual(0), 1.0);
 }
 
 TEST(Ledger, ExportImportRoundtripPreservesReport) {

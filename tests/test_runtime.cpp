@@ -135,8 +135,6 @@ SimulationCheckpoint sample_checkpoint() {
   ck.network.sequence = 99;
   ck.network.rx_dropped = 3;
   ck.network.rng = {{1, 2, 3, 4}, false, 0.0};
-  ck.network.node_radio_joules = {0.0, 0.5, 0.25};
-  ck.network.node_bytes = {0, 1024, 512};
   ck.network.queue.push_back({1600.25, 98, 1, 0, {9, 8, 7}});
   ck.ledger.cpu_total = 12.5;
   ck.ledger.radio_total = 0.75;

@@ -1,32 +1,23 @@
-// Regenerates the golden (box, score) lists asserted by the GoldenDetections
-// tests in tests/test_detect.cpp. Run after any intentional change to
-// detection numerics and paste the emitted initializers over the old ones;
-// the frames, seeds, and crop here must stay in lockstep with the test.
+// Regenerates tests/golden_detections.inc, the golden (box, score) lists
+// asserted by the GoldenDetections tests in tests/test_detect.cpp, on the
+// frames of setup_digest::golden_frame. Run after any intentional change to
+// detection numerics and redirect the output over the .inc file.
 #include <cstdio>
 
-#include "detect/detector.hpp"
-#include "video/scene.hpp"
+#include "setup_digest.hpp"
 
 using namespace eecs;
 
-namespace {
-
-/// Same frame the golden test uses: fixed-seed render of camera 0, with the
-/// (large) dataset-2 frame cropped so the dense detectors stay test-sized.
-imaging::Image golden_frame(int dataset) {
-  video::SceneSimulator sim(video::dataset_by_id(dataset), 4242);
-  sim.skip(100);
-  imaging::Image frame = sim.next_frame_single(0);
-  if (dataset == 2) frame = frame.crop(320, 240, 384, 288);
-  return frame;
-}
-
-}  // namespace
-
 int main() {
   const auto bank = detect::make_trained_detectors(777);
+  std::printf(
+      "// Golden (box, score, probability) lists for the fixed-seed frames in\n"
+      "// test_detect.cpp, dataset-major then algorithm-minor in all_algorithms()\n"
+      "// order. Captured with %%.17g (exact double round-trip). Do not edit by\n"
+      "// hand: regenerate with tools/golden_detections after any intentional\n"
+      "// change to detection numerics.\n");
   for (int dataset : {1, 2}) {
-    const imaging::Image frame = golden_frame(dataset);
+    const imaging::Image frame = setup_digest::golden_frame(dataset);
     for (const auto& detector : bank) {
       std::printf("// dataset %d, %s\n{\n", dataset, detect::to_string(detector->id()));
       for (const auto& d : detector->detect(frame)) {

@@ -14,6 +14,13 @@ using namespace eecs;
 
 int main() {
   const core::DetectorBank bank = detect::make_trained_detectors(1234);
+  std::printf(
+      "// Offline-knowledge goldens for tests/test_core.cpp (GoldenOffline): every\n"
+      "// profile field and the comparator's similarities on a fixed probe, for\n"
+      "// run_offline_training(make_trained_detectors(1234), {1}, 42, {HOG, ACF})\n"
+      "// at each frames_per_item. Captured with %%.17g (exact double round-trip). Do\n"
+      "// not edit by hand: regenerate with tools/golden_offline after any\n"
+      "// intentional change to offline numerics.\n");
   for (int frames_per_item : {4, 14}) {
     const std::string digest =
         setup_digest::knowledge(setup_digest::reference_knowledge(bank, frames_per_item));
