@@ -335,9 +335,9 @@ class HumanTally {
 };
 
 /// What both runners share: the scoped execution knobs, the scene, the
-/// camera batteries, the result with its telemetry and energy ledger, and
-/// the one camera-frame step — sweep, debit, human tally — every frame goes
-/// through.
+/// result with its telemetry, the energy book (every joule and every camera
+/// battery), and the one camera-frame step — sweep, debit, human tally —
+/// every frame goes through.
 class FrameRunner {
  protected:
   /// `Config` is EecsSimulationConfig or FixedComboConfig (same field names).
@@ -356,8 +356,8 @@ class FrameRunner {
         num_cameras_(static_cast<int>(sim_.cameras().size())),
         st_(obs::current().metrics()),
         ledger_(obs::current().ledger()),
-        batteries_(static_cast<std::size_t>(num_cameras_), energy::Battery(config.battery_joules)),
-        cpu_gauges_(static_cast<std::size_t>(num_cameras_), nullptr) {
+        cpu_gauges_(static_cast<std::size_t>(num_cameras_), nullptr),
+        residual_gauges_(static_cast<std::size_t>(num_cameras_), nullptr) {
     // Dispatch mode is a build/run-environment fact, not a run result:
     // WallClock so determinism snapshots (which diff SIMD-on vs SIMD-off
     // runs) skip it.
@@ -365,17 +365,13 @@ class FrameRunner {
         .metrics()
         .gauge("simd.dispatch.native", obs::Determinism::WallClock)
         .set(simd::enabled() && simd::kNativeBackend ? 1.0 : 0.0);
-    // Energy audit ledger: every joule debited is attributed to a (camera,
-    // round, stage, algorithm, cause) key, with running totals that
-    // accumulate the exact same doubles in the same order as the result
-    // accumulators and battery mirrors replaying every drain — so
-    // conservation against the returned result is bit-exact (see
-    // obs/ledger.hpp).
+    // The energy book: every joule debited is attributed to a (camera,
+    // round, stage, algorithm, cause) key and drained from the camera's
+    // battery, which starts full; finish() reads the result's joules and
+    // residuals from it (see obs/ledger.hpp).
     ledger_.begin_run(std::vector<double>(static_cast<std::size_t>(num_cameras_),
                                           config.battery_joules));
   }
-
-  energy::Battery& battery(int camera) { return batteries_[static_cast<std::size_t>(camera)]; }
 
   video::MultiViewFrame next_frame() {
     const obs::ScopedSpan span("stage.render", "stage", st_.render_s, sim_.frame_index());
@@ -432,25 +428,23 @@ class FrameRunner {
     return outcomes;
   }
 
-  /// Radio joules of one send, into the result and the ledger.
-  void charge_radio(int camera, obs::EnergyStage stage, int algorithm, obs::EnergyCause cause,
-                    double joules) {
-    result_.radio_joules += joules;
-    ledger_.debit_radio(camera, stage, algorithm, cause, joules);
-  }
-
-  /// The camera debit: CPU joules into the result, the ledger and the
-  /// camera's CPU gauge, then `drain_joules` (the CPU plus the step's radio
-  /// charges) out of the battery, the ledger's mirror of it and the debit
-  /// histogram.
+  /// The camera debit: CPU joules into the book and the camera's CPU gauge,
+  /// then `drain_joules` (the CPU plus the step's radio charges) out of the
+  /// camera's battery and into the debit histogram.
   void debit(int camera, obs::EnergyStage stage, int algorithm, obs::EnergyCause cause,
              double cpu_joules, double drain_joules) {
-    result_.cpu_joules += cpu_joules;
     ledger_.debit_cpu(camera, stage, algorithm, cause, cpu_joules);
     if (obs::Gauge* gauge = cpu_gauges_[static_cast<std::size_t>(camera)]) gauge->add(cpu_joules);
-    battery(camera).drain(drain_joules);
     ledger_.drain(camera, drain_joules);
+    publish_residual(camera);
     st_.debit_joules.observe(drain_joules);
+  }
+
+  /// Copy the camera's residual from the book into its gauge, if bound.
+  void publish_residual(int camera) {
+    if (obs::Gauge* gauge = residual_gauges_[static_cast<std::size_t>(camera)]) {
+      gauge->set(ledger_.residual(camera));
+    }
   }
 
   /// Debit one processed operation frame: the detect CPU, and as one radio
@@ -464,22 +458,23 @@ class FrameRunner {
     const int alg = static_cast<int>(algorithm);
     debit(camera, obs::EnergyStage::Operation, alg, obs::EnergyCause::Detect, outcome.cpu_joules,
           drain);
-    charge_radio(camera, obs::EnergyStage::Operation, alg, obs::EnergyCause::Tx,
-                 tx_joules + crop_joules);
+    ledger_.debit_radio(camera, obs::EnergyStage::Operation, alg, obs::EnergyCause::Tx,
+                        tx_joules + crop_joules);
     trace_instant("battery.debit", "energy", frame_index,
                   {{"camera", static_cast<double>(camera)},
                    {"joules", drain},
-                   {"residual", battery(camera).residual()}});
+                   {"residual", ledger_.residual(camera)}});
   }
 
   /// Close the run: publish this run's fault counters, report them plus
-  /// `carried` (the counts a resumed run's snapshot brought along), and the
-  /// battery residuals.
+  /// `carried` (the counts a resumed run's snapshot brought along), and read
+  /// the joules and battery residuals from the book.
   SimulationResult finish(const FaultCounters& carried = {}) {
     st_.finalize(faults_, result_);
     add_fault_counters(result_.faults, carried);
-    result_.battery_residual.reserve(batteries_.size());
-    for (const auto& b : batteries_) result_.battery_residual.push_back(b.residual());
+    result_.cpu_joules = ledger_.cpu_total();
+    result_.radio_joules = ledger_.radio_total();
+    result_.battery_residual = ledger_.residuals();
     return std::move(result_);
   }
 
@@ -495,10 +490,11 @@ class FrameRunner {
   FaultCounters faults_;  ///< This run's counts; published by finish().
   SimTelemetry st_;
   obs::EnergyLedger& ledger_;
-  std::vector<energy::Battery> batteries_;
-  /// Per-camera CPU joules, accumulated at the serial debit points; null
-  /// entries (the fixed combo) skip the gauge.
+  /// Per-camera CPU joules, accumulated at the serial debit points, and
+  /// battery residuals, set after every drain; null entries (the fixed combo)
+  /// skip the gauge.
   std::vector<obs::Gauge*> cpu_gauges_;
+  std::vector<obs::Gauge*> residual_gauges_;
 };
 
 /// What the camera device itself knows. Assignments are applied only when the
@@ -646,12 +642,14 @@ RoundEngine::RoundEngine(const DetectorBank& detectors, const OfflineKnowledge& 
       anomaly_counters_[static_cast<std::size_t>(k)] = &metrics.counter(
           std::string("anomaly.") + obs::to_string(static_cast<obs::Anomaly::Kind>(k)));
     }
-    // Per-camera energy gauges: battery residual mirrored on every drain, CPU
-    // joules accumulated at the serial debit points. Registered once here so
-    // the per-frame paths never format metric names.
+    // Per-camera energy gauges: battery residual set from the book on every
+    // drain, CPU joules accumulated at the serial debit points. Registered
+    // once here so the per-frame paths never format metric names.
     for (int c = 0; c < num_cameras_; ++c) {
       const std::string cam = "cam" + std::to_string(c);
-      battery(c).bind_residual_gauge(&metrics.gauge("energy.battery.residual." + cam));
+      residual_gauges_[static_cast<std::size_t>(c)] =
+          &metrics.gauge("energy.battery.residual." + cam);
+      publish_residual(c);
       cpu_gauges_[static_cast<std::size_t>(c)] = &metrics.gauge("energy.cpu_joules." + cam);
     }
   }
@@ -774,13 +772,12 @@ void RoundEngine::register_cameras() {
     do {
       ++attempts;
       // First attempt is ordinary tx; every further attempt is retry
-      // energy, attributed as such. The result accumulates per attempt so
-      // the ledger total folds in the identical doubles in the same order.
+      // energy, attributed as such and debited per attempt.
       const obs::EnergyCause cause = attempts == 1 ? obs::EnergyCause::Tx : obs::EnergyCause::Retry;
       ++faults_.messages_sent;
       tx = network_.send(node_of(c), 0, payload, net::TxClass::Data, cause);
       tx_joules += tx.tx_joules;
-      charge_radio(c, obs::EnergyStage::Registration, -1, cause, tx.tx_joules);
+      ledger_.debit_radio(c, obs::EnergyStage::Registration, -1, cause, tx.tx_joules);
       if (!tx.delivered) ++faults_.messages_lost;
     } while (!tx.delivered && attempts <= config_.protocol.registration_retries &&
              !network_.node_down(node_of(c)));
@@ -822,7 +819,7 @@ void RoundEngine::begin_round() {
   assessment_.clear();
   in_flight_.clear();
   round_ = Round{};
-  // Per-round message tallies for fault-storm detection, plus the ledger's
+  // Per-round message tallies for fault-storm detection, plus the book's
   // round context and energy bases, so the flight recorder and the anomaly
   // detector see this round's deltas at close.
   round_.sent_base = faults_.messages_sent;
@@ -830,11 +827,9 @@ void RoundEngine::begin_round() {
   ledger_.set_round(rounds_completed_);
   round_.cpu_base = ledger_.cpu_total();
   round_.radio_base = ledger_.radio_total();
-  if constexpr (obs::kEnabled) {
-    round_.camera_base.resize(static_cast<std::size_t>(num_cameras_));
-    for (int c = 0; c < num_cameras_; ++c) {
-      round_.camera_base[static_cast<std::size_t>(c)] = ledger_.camera_joules(c);
-    }
+  round_.camera_base.resize(static_cast<std::size_t>(num_cameras_));
+  for (int c = 0; c < num_cameras_; ++c) {
+    round_.camera_base[static_cast<std::size_t>(c)] = ledger_.camera_joules(c);
   }
   // The round deadline: cameras owing assessment metadata must land it
   // before `deadline_gt_frames` ground-truth frames elapse.
@@ -926,8 +921,7 @@ void RoundEngine::step_ladder() {
                      static_cast<double>(round_lost) >=
                          policy.storm_loss_ratio * static_cast<double>(round_sent);
   for (int c = 0; c < num_cameras_; ++c) {
-    const energy::Battery& b = battery(c);
-    const double fraction = b.capacity() > 0.0 ? b.residual() / b.capacity() : 0.0;
+    const double fraction = ledger_.residual(c) / ledger_.capacity(c);
     // The advisory is last round's burn-rate finding for this camera
     // (observed at the previous round close, restored on resume).
     for (const runtime::DegradationLadder::Transition& t :
@@ -965,7 +959,7 @@ void RoundEngine::operation_frame() {
   std::vector<SweepSlot> slots;
   for (int c = 0; c < num_cameras_; ++c) {
     const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
-    if (battery(c).empty()) {
+    if (ledger_.empty(c)) {
       // Exhausted: the node is dark — no detection, no transmission.
       if (cam.has_assignment && cam.active) ++faults_.frames_skipped_exhausted;
       continue;
@@ -1021,59 +1015,57 @@ void RoundEngine::operation_frame() {
 }
 
 // Round close, observability: fold the round into the anomaly detector
-// (whose burn-rate flags advise next round's ladder pass), then record it in
-// the flight recorder and dump the black box if the round tripped a
-// watchdog strike or a ladder descent.
+// (whose burn-rate flags advise next round's ladder pass, in every build),
+// then count and trace its findings, record the round in the flight recorder
+// and dump the black box if the round tripped a watchdog strike or a ladder
+// descent.
 void RoundEngine::record_round() {
-  if constexpr (obs::kEnabled) {
-    obs::RoundObservation ob;
-    ob.round = rounds_completed_;
-    ob.messages_sent = static_cast<std::uint64_t>(faults_.messages_sent - round_.sent_base);
-    ob.messages_lost = static_cast<std::uint64_t>(faults_.messages_lost - round_.lost_base);
-    ob.deadline_misses = static_cast<std::uint32_t>(round_.missed.size());
-    ob.camera_joules.resize(static_cast<std::size_t>(num_cameras_));
-    for (int c = 0; c < num_cameras_; ++c) {
-      ob.camera_joules[static_cast<std::size_t>(c)] =
-          ledger_.camera_joules(c) - round_.camera_base[static_cast<std::size_t>(c)];
-    }
-    static constexpr const char* kAnomalyEvent[obs::kNumAnomalyKinds] = {
-        "anomaly.burn_rate", "anomaly.loss_rate", "anomaly.latency"};
-    int round_anomalies = 0;
-    for (const obs::Anomaly& a : anomaly_detector_.observe(ob)) {
-      ++round_anomalies;
-      anomaly_counters_[static_cast<std::size_t>(a.kind)]->inc();
-      trace_instant(kAnomalyEvent[static_cast<int>(a.kind)], "anomaly", sim_.frame_index(),
-                    {{"camera", static_cast<double>(a.camera)},
-                     {"round", static_cast<double>(a.round)},
-                     {"value", a.value},
-                     {"threshold", a.threshold}});
-    }
-    if (!flight_enabled_) return;
-    obs::FlightRound fr;
-    fr.round = rounds_completed_;
-    fr.sim_time_s = network_.now();
-    fr.selected = round_.selection.stats.cameras_active;
-    fr.assignments = static_cast<std::int32_t>(round_.selection.assignments.size());
-    fr.pending = static_cast<std::int32_t>(retry_queue_.size());
-    fr.deadline_misses = static_cast<std::int32_t>(round_.missed.size());
-    for (int c = 0; c < num_cameras_; ++c) fr.watchdog_strikes += watchdog_.strikes(c);
-    fr.messages_sent = ob.messages_sent;
-    fr.messages_lost = ob.messages_lost;
-    fr.cpu_joules = ledger_.cpu_total() - round_.cpu_base;
-    fr.radio_joules = ledger_.radio_total() - round_.radio_base;
-    fr.anomalies = round_anomalies;
-    fr.rungs.reserve(static_cast<std::size_t>(num_cameras_));
-    fr.residual_j.reserve(static_cast<std::size_t>(num_cameras_));
-    for (int c = 0; c < num_cameras_; ++c) {
-      fr.rungs.push_back(static_cast<std::int8_t>(ladder_.rung(c)));
-      fr.residual_j.push_back(battery(c).residual());
-    }
-    flight_.record(fr);
-    if (!round_.missed.empty()) {
-      (void)flight_.dump(config_.runtime.flight_recorder_path, "watchdog_strike");
-    } else if (round_.rung_descended) {
-      (void)flight_.dump(config_.runtime.flight_recorder_path, "ladder_descent");
-    }
+  obs::RoundObservation ob;
+  ob.round = rounds_completed_;
+  ob.messages_sent = static_cast<std::uint64_t>(faults_.messages_sent - round_.sent_base);
+  ob.messages_lost = static_cast<std::uint64_t>(faults_.messages_lost - round_.lost_base);
+  ob.deadline_misses = static_cast<std::uint32_t>(round_.missed.size());
+  ob.camera_joules.resize(static_cast<std::size_t>(num_cameras_));
+  for (int c = 0; c < num_cameras_; ++c) {
+    ob.camera_joules[static_cast<std::size_t>(c)] =
+        ledger_.camera_joules(c) - round_.camera_base[static_cast<std::size_t>(c)];
+  }
+  static constexpr const char* kAnomalyEvent[obs::kNumAnomalyKinds] = {
+      "anomaly.burn_rate", "anomaly.loss_rate", "anomaly.latency"};
+  int round_anomalies = 0;
+  for (const obs::Anomaly& a : anomaly_detector_.observe(ob)) {
+    ++round_anomalies;
+    if constexpr (obs::kEnabled) anomaly_counters_[static_cast<std::size_t>(a.kind)]->inc();
+    trace_instant(kAnomalyEvent[static_cast<int>(a.kind)], "anomaly", sim_.frame_index(),
+                  {{"camera", static_cast<double>(a.camera)},
+                   {"round", static_cast<double>(a.round)},
+                   {"value", a.value},
+                   {"threshold", a.threshold}});
+  }
+  if (!flight_enabled_) return;
+  obs::FlightRound fr;
+  fr.round = rounds_completed_;
+  fr.sim_time_s = network_.now();
+  fr.selected = round_.selection.stats.cameras_active;
+  fr.assignments = static_cast<std::int32_t>(round_.selection.assignments.size());
+  fr.pending = static_cast<std::int32_t>(retry_queue_.size());
+  fr.deadline_misses = static_cast<std::int32_t>(round_.missed.size());
+  for (int c = 0; c < num_cameras_; ++c) fr.watchdog_strikes += watchdog_.strikes(c);
+  fr.messages_sent = ob.messages_sent;
+  fr.messages_lost = ob.messages_lost;
+  fr.cpu_joules = ledger_.cpu_total() - round_.cpu_base;
+  fr.radio_joules = ledger_.radio_total() - round_.radio_base;
+  fr.anomalies = round_anomalies;
+  fr.rungs.reserve(static_cast<std::size_t>(num_cameras_));
+  for (int c = 0; c < num_cameras_; ++c) {
+    fr.rungs.push_back(static_cast<std::int8_t>(ladder_.rung(c)));
+  }
+  fr.residual_j = ledger_.residuals();
+  flight_.record(fr);
+  if (!round_.missed.empty()) {
+    (void)flight_.dump(config_.runtime.flight_recorder_path, "watchdog_strike");
+  } else if (round_.rung_descended) {
+    (void)flight_.dump(config_.runtime.flight_recorder_path, "ladder_descent");
   }
 }
 
@@ -1184,7 +1176,7 @@ void RoundEngine::handle_controller_delivery(const net::Network::Delivery& d) {
 
 void RoundEngine::handle_camera_delivery(int camera, const net::Network::Delivery& d) {
   if (camera < 0 || camera >= num_cameras_) return;
-  if (battery(camera).empty()) return;  // Powered off: cannot receive.
+  if (ledger_.empty(camera)) return;  // Powered off: cannot receive.
   if (net::peek_type(d.payload) != net::MessageType::AlgorithmAssignment) return;
   const auto msg = net::decode_algorithm_assignment(d.payload);
   CameraNode& cam = cameras_[static_cast<std::size_t>(camera)];
@@ -1227,13 +1219,12 @@ void RoundEngine::pump_network(double until) {
 void RoundEngine::send_heartbeat(int c, obs::EnergyStage stage) {
   net::EnergyReportMsg msg;
   msg.camera_id = c;
-  msg.residual_joules = battery(c).residual();
+  msg.residual_joules = ledger_.residual(c);
   ++faults_.messages_sent;
   const auto tx = network_.send(node_of(c), 0, encode(msg), net::TxClass::Control,
                                 obs::EnergyCause::Heartbeat);
   // Control-class: zero joules today, but the debit records the attempt in
-  // the ledger so heartbeat cost shows up the day the model charges it
-  // (x + 0.0 == x keeps the totals bit-equal to the result meanwhile).
+  // the book so heartbeat cost shows up the day the model charges it.
   ledger_.debit_radio(c, stage, -1, obs::EnergyCause::Heartbeat, tx.tx_joules);
   if (!tx.delivered) ++faults_.messages_lost;
 }
@@ -1325,7 +1316,7 @@ void RoundEngine::check_liveness() {
 }
 
 bool RoundEngine::camera_down(int c) const {
-  return batteries_[static_cast<std::size_t>(c)].empty() || network_.node_down(node_of(c));
+  return ledger_.empty(c) || network_.node_down(node_of(c));
 }
 
 // A full snapshot of the loop state, taken at a round boundary (assessment
@@ -1336,8 +1327,6 @@ runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
   ck.config = config_record(config_);
   ck.frame_index = sim_.frame_index();
   ck.rounds_completed = rounds_completed_;
-  ck.cpu_joules = result_.cpu_joules;
-  ck.radio_joules = result_.radio_joules;
   ck.humans_detected = result_.humans_detected;
   ck.humans_present = result_.humans_present;
   ck.gt_frames_processed = result_.gt_frames_processed;
@@ -1365,7 +1354,6 @@ runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
   for (int c = 0; c < num_cameras_; ++c) {
     const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
     runtime::SimulationCheckpoint::CameraState state;
-    state.battery_residual = batteries_[static_cast<std::size_t>(c)].residual();
     state.has_assignment = cam.has_assignment ? 1 : 0;
     state.active = cam.active ? 1 : 0;
     state.algorithm = static_cast<std::int32_t>(cam.algorithm);
@@ -1410,7 +1398,6 @@ void RoundEngine::resume() {
   for (int c = 0; c < num_cameras_; ++c) {
     const auto& state = ck.cameras[static_cast<std::size_t>(c)];
     CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
-    battery(c).restore_residual(state.battery_residual);
     cam.has_assignment = state.has_assignment != 0;
     cam.active = state.active != 0;
     cam.algorithm = static_cast<detect::AlgorithmId>(state.algorithm);
@@ -1427,8 +1414,6 @@ void RoundEngine::resume() {
   for (const auto& p : ck.pending) pending_entries[p.camera] = p.entry;
   retry_queue_.restore(std::move(pending_entries));
   next_sequence_ = ck.next_sequence;
-  result_.cpu_joules = ck.cpu_joules;
-  result_.radio_joules = ck.radio_joules;
   result_.humans_detected = ck.humans_detected;
   result_.humans_present = ck.humans_present;
   result_.gt_frames_processed = ck.gt_frames_processed;
@@ -1448,10 +1433,11 @@ void RoundEngine::resume() {
   }
   resumed_faults_ = unpack_fault_counters(ck.fault_counters);
   rounds_completed_ = ck.rounds_completed;
-  // Restore the audit ledger and anomaly windows captured with the
-  // snapshot, so the resumed run's conservation check covers the whole run
+  // Restore the energy book and anomaly windows captured with the snapshot,
+  // so the resumed run's joules, residuals and ledger cover the whole run
   // and the detector replays identical findings.
   ledger_.import_state(ck.ledger);
+  for (int c = 0; c < num_cameras_; ++c) publish_residual(c);
   anomaly_detector_.import_state(ck.anomaly);
   trace_instant("runtime.resume", "runtime", sim_.frame_index(),
                 {{"rounds_completed", static_cast<double>(rounds_completed_)}});
@@ -1492,14 +1478,14 @@ class FixedComboRunner : FrameRunner {
       // cadence ticks per GT frame.
       std::vector<SweepSlot> slots = entries_;
       for (SweepSlot& slot : slots) {
-        if (battery(slot.camera).empty()) slot.runs.clear();
+        if (ledger_.empty(slot.camera)) slot.runs.clear();
       }
       const std::vector<std::vector<FrameOutcome>> outcomes =
           sweep(frame, slots, static_cast<std::uint64_t>(result_.gt_frames_processed),
                 /*assessment=*/false);
       for (std::size_t e = 0; e < entries_.size(); ++e) {
         const int camera = entries_[e].camera;
-        if (battery(camera).empty()) {
+        if (ledger_.empty(camera)) {
           // Exhausted camera: contributes no detections and no radio energy.
           ++faults_.frames_skipped_exhausted;
           continue;

@@ -289,6 +289,8 @@ struct StageTimings {
 };
 
 struct SimulationResult {
+  /// Read, like `battery_residual`, from the run's energy book
+  /// (obs::EnergyLedger) when the run finishes.
   double cpu_joules = 0.0;
   double radio_joules = 0.0;
   int humans_detected = 0;  ///< Unique (frame, person) pairs detected.

@@ -116,6 +116,10 @@ class Detector {
   }
 
  private:
+  /// HOG's and LSVM's shared level scan (hog_detector.hpp) calls sweep_rows
+  /// and level.
+  friend struct BlockGridLevel;
+
   std::vector<double> scales_;  ///< Pyramid ladder: a pure function of the params.
   float score_floor_;
   PlattScaling platt_;

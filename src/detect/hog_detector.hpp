@@ -44,6 +44,21 @@ class HogDetector final : public Detector {
 inline constexpr int kWindowCellsX = kWindowWidth / 8;    // 6
 inline constexpr int kWindowCellsY = kWindowHeight / 8;   // 12
 
+/// One pyramid level of a canonical-window scan over a BlockGrid (HOG, and
+/// LSVM's root filter). scan() states the anchor geometry once, from the
+/// rung's dims alone (the arithmetic of BlockGrid's construction), so a level
+/// the context gate prunes whole is accounted before any resize or grid
+/// work; otherwise it charges the resize and fetches the level's grid.
+struct BlockGridLevel {
+  RowInterval anchors;              ///< Anchor rows to score; empty when pruned.
+  int max_cx = -1;                  ///< Last anchor column.
+  const BlockGrid* grid = nullptr;  ///< The level's grid; null when pruned.
+
+  [[nodiscard]] static BlockGridLevel scan(const Detector& detector, FramePrecompute& pre,
+                                           const Rung& rung, const features::HogParams& hog,
+                                           energy::CostCounter* cost);
+};
+
 /// Descriptor of a canonical training patch (48x96), via BlockGrid.
 [[nodiscard]] std::vector<float> patch_hog_descriptor(const imaging::Image& patch);
 

@@ -104,19 +104,11 @@ std::vector<Detection> LsvmDetector::run(FramePrecompute& pre, energy::CostCount
   const int bs = hog_params_.block_size;
 
   for (const Rung& rung : rungs(pre.frame().width(), pre.frame().height())) {
-    // Anchor geometry from the dims alone (same arithmetic as BlockGrid's
-    // construction), so a fully pruned level is accounted before any resize
-    // or channel work happens. The root shares HOG's window geometry.
-    const int blocks_x = std::max(0, rung.width / cell - bs + 1);
-    const int blocks_y = std::max(0, rung.height / cell - bs + 1);
-    const int max_cx = blocks_x - (kWindowCellsX - bs + 1);
-    const int max_cy = blocks_y - (kWindowCellsY - bs + 1);
-    const RowInterval anchors = sweep_rows(pre, rung, cell, 0, max_cx, max_cy, cost);
-    if (anchors.empty()) continue;  // Pruned by the gate: no work at all.
-    level(pre, rung, cost);  // The resize the grid reads, charged here.
-
-    const BlockGrid& grid = pre.block_grid(rung.width, rung.height, hog_params_, cost);
-    EECS_EXPECTS(grid.blocks_x() == blocks_x && grid.blocks_y() == blocks_y);
+    // The root shares HOG's window geometry.
+    const auto [anchors, max_cx, level_grid] =
+        BlockGridLevel::scan(*this, pre, rung, hog_params_, cost);
+    if (level_grid == nullptr) continue;
+    const BlockGrid& grid = *level_grid;
 
     if (pre.force_naive()) {
       for (int cy = anchors.lo; cy <= anchors.hi; ++cy) {

@@ -1,8 +1,8 @@
 // Operation counting. Detectors and feature extractors never time
 // themselves; they report *what they computed* (pixels touched, feature
-// multiply-accumulates, classifier evaluations, bytes moved) and the energy
-// model converts counts to Joules. This is the repository's substitute for
-// the paper's PowerTutor measurements: the ratios between algorithms and
+// multiply-accumulates, classifier evaluations) and the energy model
+// converts counts to Joules. This is the repository's substitute for the
+// paper's PowerTutor measurements: the ratios between algorithms and
 // resolutions come out of real computation counts.
 #pragma once
 
@@ -14,7 +14,6 @@ struct CostCounter {
   std::uint64_t pixel_ops = 0;       ///< Per-pixel image passes (blur, resize, channels).
   std::uint64_t feature_ops = 0;     ///< Feature multiply-accumulates (HOG bins, census bits...).
   std::uint64_t classifier_ops = 0;  ///< Classifier MACs (SVM dots, tree node visits).
-  std::uint64_t bytes_tx = 0;        ///< Radio payload bytes.
   /// Sliding-window accounting (not energy-bearing: the joules of a window
   /// are already in the op counts above; compute_ops() excludes these).
   /// `windows_evaluated` counts anchors actually scored; `windows_pruned`
@@ -27,7 +26,6 @@ struct CostCounter {
   void add_pixels(std::uint64_t n) { pixel_ops += n; }
   void add_features(std::uint64_t n) { feature_ops += n; }
   void add_classifier(std::uint64_t n) { classifier_ops += n; }
-  void add_bytes(std::uint64_t n) { bytes_tx += n; }
   void add_windows(std::uint64_t evaluated, std::uint64_t pruned) {
     windows_evaluated += evaluated;
     windows_pruned += pruned;
@@ -37,7 +35,6 @@ struct CostCounter {
     pixel_ops += rhs.pixel_ops;
     feature_ops += rhs.feature_ops;
     classifier_ops += rhs.classifier_ops;
-    bytes_tx += rhs.bytes_tx;
     windows_evaluated += rhs.windows_evaluated;
     windows_pruned += rhs.windows_pruned;
     return *this;

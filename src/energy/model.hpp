@@ -1,16 +1,12 @@
-// Energy models: CPU (counter-based), radio (per-byte + per-message), battery
-// accounting, and the per-frame budget arithmetic of §VI ("Computing energy
-// costs and budget").
+// Energy models: CPU (counter-based), radio (per-byte + per-message) and the
+// per-frame budget arithmetic of §VI ("Computing energy costs and budget").
+// Camera batteries live in the run's energy book (obs/ledger.hpp).
 #pragma once
 
 #include <cstddef>
 
 #include "common/contracts.hpp"
 #include "energy/cost.hpp"
-
-namespace eecs::obs {
-class Gauge;
-}
 
 namespace eecs::energy {
 
@@ -54,36 +50,6 @@ struct RadioModel {
   [[nodiscard]] double tx_seconds(std::size_t bytes) const {
     return static_cast<double>(bytes) / bytes_per_second;
   }
-};
-
-/// Remaining-charge accounting for one camera node.
-class Battery {
- public:
-  explicit Battery(double capacity_joules) : capacity_(capacity_joules), residual_(capacity_joules) {
-    EECS_EXPECTS(capacity_joules > 0.0);
-  }
-
-  /// Drain energy; clamps at empty and returns the amount actually drained.
-  double drain(double joules);
-
-  /// Checkpoint restore: set the residual charge directly (clamped to
-  /// [0, capacity]) and republish any bound gauge.
-  void restore_residual(double joules);
-
-  /// Mirror the residual charge into a telemetry gauge: published immediately
-  /// and after every drain. Pass nullptr to unbind. The battery does not own
-  /// the gauge; the binder must keep its registry alive.
-  void bind_residual_gauge(obs::Gauge* gauge);
-
-  [[nodiscard]] double residual() const { return residual_; }
-  [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] double consumed() const { return capacity_ - residual_; }
-  [[nodiscard]] bool empty() const { return residual_ <= 0.0; }
-
- private:
-  double capacity_;
-  double residual_;
-  obs::Gauge* residual_gauge_ = nullptr;
 };
 
 /// §VI budget arithmetic: an expected operation time and frame-processing

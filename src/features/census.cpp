@@ -1,7 +1,5 @@
 #include "features/census.hpp"
 
-#include <cmath>
-
 #include "common/simd.hpp"
 
 namespace eecs::features {
@@ -76,45 +74,6 @@ std::vector<std::uint8_t> census_transform(const imaging::Image& img, energy::Co
   });
   if (cost != nullptr) cost->add_pixels(gray.pixel_count() * 8);
   return codes;
-}
-
-std::vector<float> census_window_descriptor(const std::vector<std::uint8_t>& codes,
-                                            int image_width, int image_height, int x0, int y0,
-                                            int window_w, int window_h, int blocks_x,
-                                            int blocks_y, energy::CostCounter* cost) {
-  EECS_EXPECTS(image_width > 0 && image_height > 0);
-  EECS_EXPECTS(static_cast<std::size_t>(image_width) * static_cast<std::size_t>(image_height) ==
-               codes.size());
-  EECS_EXPECTS(x0 >= 0 && y0 >= 0 && x0 + window_w <= image_width && y0 + window_h <= image_height);
-  EECS_EXPECTS(blocks_x >= 1 && blocks_y >= 1);
-
-  std::vector<float> desc(static_cast<std::size_t>(census_descriptor_size(blocks_x, blocks_y)), 0.0f);
-  for (int by = 0; by < blocks_y; ++by) {
-    const int wy0 = y0 + window_h * by / blocks_y;
-    const int wy1 = y0 + window_h * (by + 1) / blocks_y;
-    for (int bx = 0; bx < blocks_x; ++bx) {
-      const int wx0 = x0 + window_w * bx / blocks_x;
-      const int wx1 = x0 + window_w * (bx + 1) / blocks_x;
-      float* hist = desc.data() + static_cast<std::size_t>((by * blocks_x + bx) * 16);
-      for (int y = wy0; y < wy1; ++y) {
-        for (int x = wx0; x < wx1; ++x) {
-          const std::uint8_t code =
-              codes[static_cast<std::size_t>(y) * static_cast<std::size_t>(image_width) +
-                    static_cast<std::size_t>(x)];
-          hist[code >> 4] += 1.0f;
-        }
-      }
-    }
-  }
-  double s = 0.0;
-  for (float v : desc) s += static_cast<double>(v) * static_cast<double>(v);
-  const float n = static_cast<float>(std::sqrt(s) + 1e-9);
-  for (auto& v : desc) v /= n;
-  if (cost != nullptr) {
-    cost->add_features(static_cast<std::uint64_t>(window_w) * static_cast<std::uint64_t>(window_h) +
-                       desc.size());
-  }
-  return desc;
 }
 
 }  // namespace eecs::features

@@ -23,17 +23,4 @@ inline constexpr float kCensusThreshold = 0.045f;
                                                          energy::CostCounter* cost = nullptr,
                                                          float threshold = kCensusThreshold);
 
-/// Histogram descriptor of a window over a census-code map: the window is
-/// split into blocks_x x blocks_y blocks; each contributes a 16-bin histogram
-/// of code high-nibbles (coarse contour orientation). L2-normalized.
-[[nodiscard]] std::vector<float> census_window_descriptor(
-    const std::vector<std::uint8_t>& codes, int image_width, int image_height, int x0, int y0,
-    int window_w, int window_h, int blocks_x = 4, int blocks_y = 8,
-    energy::CostCounter* cost = nullptr);
-
-/// Descriptor length for the given block layout.
-[[nodiscard]] inline int census_descriptor_size(int blocks_x = 4, int blocks_y = 8) {
-  return blocks_x * blocks_y * 16;
-}
-
 }  // namespace eecs::features

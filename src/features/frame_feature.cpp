@@ -60,12 +60,4 @@ std::vector<float> FrameFeatureExtractor::extract(const imaging::Image& frame,
   return feat;
 }
 
-std::vector<std::vector<float>> FrameFeatureExtractor::extract_all(
-    const std::vector<imaging::Image>& frames, energy::CostCounter* cost) const {
-  std::vector<std::vector<float>> out;
-  out.reserve(frames.size());
-  for (const auto& frame : frames) out.push_back(extract(frame, cost));
-  return out;
-}
-
 }  // namespace eecs::features

@@ -39,10 +39,6 @@ class FrameFeatureExtractor {
   [[nodiscard]] std::vector<float> extract(const imaging::Image& frame,
                                            energy::CostCounter* cost = nullptr) const;
 
-  /// Extract features for a set of frames; one row per frame.
-  [[nodiscard]] std::vector<std::vector<float>> extract_all(
-      const std::vector<imaging::Image>& frames, energy::CostCounter* cost = nullptr) const;
-
   [[nodiscard]] const BowVocabulary& vocabulary() const { return vocabulary_; }
 
  private:

@@ -203,14 +203,6 @@ void resize_row(const float* r0, const float* r1, const int* col0, const int* co
 
 }  // namespace
 
-Image box_blur(const Image& img, int radius) {
-  EECS_EXPECTS(radius >= 0);
-  if (radius == 0 || img.empty()) return img;
-  std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1),
-                            1.0f / static_cast<float>(2 * radius + 1));
-  return separable_filter(img, kernel);
-}
-
 Image gaussian_blur(const Image& img, float sigma) {
   EECS_EXPECTS(sigma >= 0.0f);
   if (sigma <= 0.0f || img.empty()) return img;
@@ -308,27 +300,6 @@ Image resize(const Image& img, int new_width, int new_height) {
                    static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
       resize_row<F4>(r0, r1, col0.data(), col1.data(), colw.data(), new_width, wy, dst);
     });
-  });
-  return out;
-}
-
-Image block_downsample(const Image& img, int factor) {
-  EECS_EXPECTS(factor >= 1);
-  if (factor == 1) return img;
-  const int nw = std::max(1, img.width() / factor);
-  const int nh = std::max(1, img.height() / factor);
-  Image out = Image::uninitialized(nw, nh, img.channels());
-  const float inv = 1.0f / static_cast<float>(factor * factor);
-  parallel_rows(img.channels(), nh, [&](int c, int y) {
-    for (int x = 0; x < nw; ++x) {
-      float s = 0.0f;
-      for (int dy = 0; dy < factor; ++dy) {
-        for (int dx = 0; dx < factor; ++dx) {
-          s += img.at_clamped(x * factor + dx, y * factor + dy, c);
-        }
-      }
-      out.at(x, y, c) = s * inv;
-    }
   });
   return out;
 }

@@ -7,14 +7,8 @@
 
 namespace eecs::imaging {
 
-/// Separable box blur with the given (odd) kernel radius per channel.
-[[nodiscard]] Image box_blur(const Image& img, int radius);
-
 /// Separable Gaussian blur; kernel radius derived from sigma (3*sigma).
 [[nodiscard]] Image gaussian_blur(const Image& img, float sigma);
-
-/// Additive zero-mean Gaussian pixel noise, clamped to [0, 1].
-class Rng;
 
 struct Gradients {
   Image magnitude;    ///< Single channel.
@@ -34,8 +28,5 @@ void gradient_band(const Image& gray, int y0, int y1, float* mag, float* ori);
 
 /// Bilinear resize to the exact target size.
 [[nodiscard]] Image resize(const Image& img, int new_width, int new_height);
-
-/// Downsample by an integer factor using block averaging (used by ACF).
-[[nodiscard]] Image block_downsample(const Image& img, int factor);
 
 }  // namespace eecs::imaging

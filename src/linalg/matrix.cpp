@@ -122,15 +122,6 @@ Matrix Matrix::slice_cols(int c0, int c1) const {
   return out;
 }
 
-Matrix Matrix::slice_rows(int r0, int r1) const {
-  EECS_EXPECTS(0 <= r0 && r0 <= r1 && r1 <= rows_);
-  Matrix out(r1 - r0, cols_);
-  for (int r = r0; r < r1; ++r) {
-    for (int c = 0; c < cols_; ++c) out(r - r0, c) = (*this)(r, c);
-  }
-  return out;
-}
-
 double Matrix::frobenius_norm() const {
   double s = 0.0;
   for (double x : data_) s += x * x;

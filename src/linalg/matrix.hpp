@@ -55,8 +55,6 @@ class Matrix {
 
   /// Columns [c0, c1) as a new matrix.
   [[nodiscard]] Matrix slice_cols(int c0, int c1) const;
-  /// Rows [r0, r1) as a new matrix.
-  [[nodiscard]] Matrix slice_rows(int r0, int r1) const;
 
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const;

@@ -19,15 +19,9 @@ Pca::Pca(const Matrix& data, int components) {
   }
 
   // SVD of the centered data: right singular vectors are the principal
-  // directions; singular values give the variances. Avoids forming the
-  // (possibly large) covariance matrix when n < dim.
-  const SvdResult svd = svd_decompose(centered);
-  basis_ = svd.v.slice_cols(0, components);
-  variance_.resize(static_cast<std::size_t>(components));
-  for (int i = 0; i < components; ++i) {
-    const double s = svd.singular_values[static_cast<std::size_t>(i)];
-    variance_[static_cast<std::size_t>(i)] = s * s / static_cast<double>(n - 1);
-  }
+  // directions, in descending singular value (variance) order. Avoids forming
+  // the (possibly large) covariance matrix when n < dim.
+  basis_ = svd_decompose(centered).v.slice_cols(0, components);
 }
 
 std::vector<double> Pca::transform(std::span<const double> x) const {
@@ -39,16 +33,6 @@ std::vector<double> Pca::transform(std::span<const double> x) const {
     double s = 0.0;
     for (int r = 0; r < input_dim(); ++r) s += basis_(r, c) * centered[static_cast<std::size_t>(r)];
     out[static_cast<std::size_t>(c)] = s;
-  }
-  return out;
-}
-
-Matrix Pca::transform_rows(const Matrix& data) const {
-  EECS_EXPECTS(data.cols() == input_dim());
-  Matrix out(data.rows(), components());
-  for (int r = 0; r < data.rows(); ++r) {
-    const std::vector<double> t = transform(data.row(r));
-    for (int c = 0; c < components(); ++c) out(r, c) = t[static_cast<std::size_t>(c)];
   }
   return out;
 }

@@ -19,9 +19,6 @@ class Pca {
   /// descending variance). This is x_i / z_j in the paper's Table I.
   [[nodiscard]] const Matrix& basis() const { return basis_; }
 
-  /// Per-component variances (descending).
-  [[nodiscard]] const std::vector<double>& explained_variance() const { return variance_; }
-
   /// Mean of the training samples.
   [[nodiscard]] std::span<const double> mean() const { return mean_; }
 
@@ -31,12 +28,8 @@ class Pca {
   /// Project a sample into the component space (centers by the fitted mean).
   [[nodiscard]] std::vector<double> transform(std::span<const double> x) const;
 
-  /// Project each row of `data`; returns n_samples x components.
-  [[nodiscard]] Matrix transform_rows(const Matrix& data) const;
-
  private:
   Matrix basis_;
-  std::vector<double> variance_;
   std::vector<double> mean_;
 };
 

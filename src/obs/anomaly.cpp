@@ -31,7 +31,6 @@ bool AnomalyDetector::flagged(int camera) const {
 
 std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
   std::vector<Anomaly> findings;
-  if constexpr (!kEnabled) return findings;
   if (!options_.enabled) return findings;
   EECS_EXPECTS(static_cast<int>(obs.camera_joules.size()) == num_cameras_);
   std::fill(last_flags_.begin(), last_flags_.end(), std::uint8_t{0});

@@ -14,14 +14,13 @@
 // Thresholds are integer milli-units so configurations serialize exactly and
 // comparisons cross-multiply in integers where possible — no epsilon tuning.
 // The window state is checkpointable (State) so chaos crash/resume replays
-// identical findings. Under EECS_OBS_OFF observe() returns no findings.
+// identical findings. The detector runs in every build, EECS_OBS_OFF
+// included; only the loop's anomaly counters and trace events compile out.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace eecs::obs {
 

@@ -76,14 +76,15 @@ double ExactJoules::to_double() const {
 }
 
 void EnergyLedger::begin_run(const std::vector<double>& battery_capacity) {
+  for (const double capacity : battery_capacity) EECS_EXPECTS(capacity > 0.0);
   round_ = -1;
   cpu_total_ = 0.0;
   radio_total_ = 0.0;
   exact_total_ = ExactJoules{};
   debits_ = 0;
   camera_joules_.assign(battery_capacity.size(), 0.0);
-  mirror_residual_ = battery_capacity;
-  mirror_capacity_ = battery_capacity;
+  residual_ = battery_capacity;
+  capacity_ = battery_capacity;
   entries_.clear();
 }
 
@@ -91,7 +92,6 @@ void EnergyLedger::set_round(std::int64_t round) { round_ = round; }
 
 void EnergyLedger::debit(int camera, EnergyStage stage, int algorithm, EnergyCause cause,
                          double joules, double& total) {
-  if constexpr (!kEnabled) return;
   total += joules;
   exact_total_.add(joules);
   ++debits_;
@@ -121,13 +121,10 @@ void EnergyLedger::debit_radio(int camera, EnergyStage stage, int algorithm, Ene
 }
 
 void EnergyLedger::drain(int camera, double joules) {
-  if constexpr (!kEnabled) return;
-  if (camera < 0 || camera >= static_cast<int>(mirror_residual_.size())) return;
-  double& residual = mirror_residual_[static_cast<std::size_t>(camera)];
-  // Identical arithmetic to energy::Battery::drain so the mirror stays
-  // bit-equal to the real residual through every clamped drain.
-  const double drained = std::min(joules, residual);
-  residual -= drained;
+  EECS_EXPECTS(joules >= 0.0);
+  EECS_EXPECTS(camera >= 0 && camera < static_cast<int>(residual_.size()));
+  double& residual = residual_[static_cast<std::size_t>(camera)];
+  residual -= std::min(joules, residual);
 }
 
 double EnergyLedger::camera_joules(int camera) const {
@@ -135,9 +132,14 @@ double EnergyLedger::camera_joules(int camera) const {
   return camera_joules_[static_cast<std::size_t>(camera)];
 }
 
-double EnergyLedger::mirror_residual(int camera) const {
-  EECS_EXPECTS(camera >= 0 && camera < static_cast<int>(mirror_residual_.size()));
-  return mirror_residual_[static_cast<std::size_t>(camera)];
+double EnergyLedger::residual(int camera) const {
+  EECS_EXPECTS(camera >= 0 && camera < static_cast<int>(residual_.size()));
+  return residual_[static_cast<std::size_t>(camera)];
+}
+
+double EnergyLedger::capacity(int camera) const {
+  EECS_EXPECTS(camera >= 0 && camera < static_cast<int>(capacity_.size()));
+  return capacity_[static_cast<std::size_t>(camera)];
 }
 
 namespace {
@@ -160,10 +162,6 @@ EnergyLedger::Conservation EnergyLedger::check(double result_cpu_joules,
                                                double result_radio_joules,
                                                const std::vector<double>& battery_residual) const {
   Conservation out;
-  if constexpr (!kEnabled) {
-    out.detail = "obs-off";
-    return out;
-  }
   auto violate = [&out](const std::string& clause) {
     out.ok = false;
     if (!out.detail.empty()) out.detail += "; ";
@@ -176,20 +174,23 @@ EnergyLedger::Conservation EnergyLedger::check(double result_cpu_joules,
     append_g17(s, want);
     return s;
   };
-  if (!bit_equal(cpu_total_, result_cpu_joules)) {
-    violate("cpu total != result.cpu_joules (" + describe(cpu_total_, result_cpu_joules) + ")");
+  // The result's energy fields are read from this book at the end of a run;
+  // any difference means the result came from another run or another book.
+  if (!bit_equal(result_cpu_joules, cpu_total_)) {
+    violate("result.cpu_joules != book cpu total (" + describe(result_cpu_joules, cpu_total_) +
+            ")");
   }
-  if (!bit_equal(radio_total_, result_radio_joules)) {
-    violate("radio total != result.radio_joules (" +
-            describe(radio_total_, result_radio_joules) + ")");
+  if (!bit_equal(result_radio_joules, radio_total_)) {
+    violate("result.radio_joules != book radio total (" +
+            describe(result_radio_joules, radio_total_) + ")");
   }
-  if (battery_residual.size() != mirror_residual_.size()) {
-    violate("battery mirror count mismatch");
+  if (battery_residual.size() != residual_.size()) {
+    violate("result battery count != book camera count");
   } else {
     for (std::size_t c = 0; c < battery_residual.size(); ++c) {
-      if (!bit_equal(mirror_residual_[c], battery_residual[c])) {
-        violate("camera " + std::to_string(c) + " mirror residual != battery (" +
-                describe(mirror_residual_[c], battery_residual[c]) + ")");
+      if (!bit_equal(battery_residual[c], residual_[c])) {
+        violate("camera " + std::to_string(c) + " result residual != book residual (" +
+                describe(battery_residual[c], residual_[c]) + ")");
       }
     }
   }
@@ -256,20 +257,22 @@ EnergyLedger::State EnergyLedger::export_state() const {
   state.exact_total = exact_total_;
   state.debits = debits_;
   state.camera_joules = camera_joules_;
-  state.mirror_residual = mirror_residual_;
-  state.mirror_capacity = mirror_capacity_;
+  state.residual = residual_;
   state.entries.assign(entries_.begin(), entries_.end());
   return state;
 }
 
 void EnergyLedger::import_state(const State& state) {
+  EECS_EXPECTS(state.camera_joules.size() == capacity_.size() &&
+               state.residual.size() == capacity_.size());
   cpu_total_ = state.cpu_total;
   radio_total_ = state.radio_total;
   exact_total_ = state.exact_total;
   debits_ = state.debits;
   camera_joules_ = state.camera_joules;
-  mirror_residual_ = state.mirror_residual;
-  mirror_capacity_ = state.mirror_capacity;
+  for (std::size_t c = 0; c < residual_.size(); ++c) {
+    residual_[c] = std::clamp(state.residual[c], 0.0, capacity_[c]);
+  }
   entries_.clear();
   for (const auto& [key, entry] : state.entries) entries_.emplace(key, entry);
 }

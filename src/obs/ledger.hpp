@@ -1,37 +1,31 @@
-// Energy audit ledger: attributes every joule the simulation debits to a
-// (camera, round, stage, algorithm, cause) key, with a hard conservation
-// invariant against the SimulationResult accumulators and the per-camera
-// battery residuals (see DESIGN.md "Observability" / "Energy ledger").
+// Energy book: the run's one accumulator of joules. Every joule the
+// simulation spends is debited here and attributed to a (camera, round,
+// stage, algorithm, cause) key, and every camera battery lives here as a
+// capacity and a residual. SimulationResult reads its CPU and radio totals
+// and its per-camera residuals from the book when a run finishes (see
+// DESIGN.md "Energy audit ledger"). The book is on in every build,
+// EECS_OBS_OFF included.
 //
 // Bit-exactness contract. Floating-point addition is not associative, so the
-// ledger never re-derives totals from its entries with doubles. Instead it
-// keeps three mutually checking views:
+// book never re-derives totals from its entries with doubles. It keeps:
 //
-//  1. Running double totals (`cpu_total_`, `radio_total_`) incremented with
-//     the *same double values in the same order* as the simulation's
-//     `result.cpu_joules`/`result.radio_joules` accumulators — so the totals
-//     are bit-identical to the result by construction, and any debit that
-//     bypasses the ledger (or is double-counted) breaks the equality.
-//  2. Per-camera battery mirrors applying the identical clamped drain
-//     sequence as energy::Battery, so `mirror == battery.residual()` holds
-//     bitwise at every instant.
+//  1. Running double totals (`cpu_total_`, `radio_total_`) added in debit
+//     order: the run's reported joules.
+//  2. Per-camera residuals, drained with one clamp at empty.
 //  3. A 192-bit fixed-point exact accumulator (LSB = 2^-128) per entry and
 //     globally. Integer addition commutes, so "sum over entries equals the
 //     debited total" holds exactly and independently of iteration order —
 //     this is what makes the per-key attribution itself auditable rather
 //     than approximately-summing.
 //
-// Debits happen only at the loop's serial replay points (like the energy
-// gauges), so no locking is needed. Under EECS_OBS_OFF every mutator is a
-// no-op and check() vacuously passes.
+// Debits and drains happen only at the loop's serial replay points, so no
+// locking is needed.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace eecs::obs {
 
@@ -99,9 +93,9 @@ struct LedgerEntry {
 
 class EnergyLedger {
  public:
-  /// Arm the ledger for one run: drops all entries/totals and initializes the
-  /// per-camera battery mirrors at full capacity. A telemetry session's
-  /// ledger always describes the session's most recent armed run.
+  /// Arm the book for one run: drops all entries and totals and fills each
+  /// camera's battery to its capacity, which must be positive. A telemetry
+  /// session's book always describes the session's most recent armed run.
   void begin_run(const std::vector<double>& battery_capacity);
 
   /// Round id attached to subsequent debits (-1 outside round structure).
@@ -110,25 +104,27 @@ class EnergyLedger {
   void debit_cpu(int camera, EnergyStage stage, int algorithm, EnergyCause cause, double joules);
   void debit_radio(int camera, EnergyStage stage, int algorithm, EnergyCause cause, double joules);
 
-  /// Mirror of energy::Battery::drain — identical clamp, applied at the same
-  /// call points with the same double, so mirrors track residuals bitwise.
+  /// Take `joules` (non-negative) out of the camera's battery, clamped at
+  /// empty.
   void drain(int camera, double joules);
 
   [[nodiscard]] double cpu_total() const { return cpu_total_; }
   [[nodiscard]] double radio_total() const { return radio_total_; }
   /// Per-camera cpu+radio debit stream total (burn-rate input).
   [[nodiscard]] double camera_joules(int camera) const;
-  [[nodiscard]] double mirror_residual(int camera) const;
-  [[nodiscard]] int num_cameras() const { return static_cast<int>(mirror_residual_.size()); }
+  [[nodiscard]] double residual(int camera) const;
+  [[nodiscard]] double capacity(int camera) const;
+  [[nodiscard]] bool empty(int camera) const { return residual(camera) <= 0.0; }
+  [[nodiscard]] const std::vector<double>& residuals() const { return residual_; }
   [[nodiscard]] const std::map<LedgerKey, LedgerEntry>& entries() const { return entries_; }
 
   struct Conservation {
     bool ok = true;
     std::string detail;  ///< Empty when ok; otherwise every violated clause.
   };
-  /// The hard invariant: ledger totals bit-equal the result accumulators,
-  /// battery mirrors bit-equal the per-camera residuals, and the exact sum
-  /// over entries equals the exact debited total (order-independent).
+  /// The hard invariant: the result's totals and residuals passed in are
+  /// bit-equal to this book's (the result came from this book), and the exact
+  /// sum over entries equals the exact debited total (order-independent).
   [[nodiscard]] Conservation check(double result_cpu_joules, double result_radio_joules,
                                    const std::vector<double>& battery_residual) const;
 
@@ -139,18 +135,21 @@ class EnergyLedger {
   [[nodiscard]] std::string to_json() const;
 
   /// Checkpointable state (serialized by runtime/checkpoint as a snapshot
-  /// section so chaos resume keeps conservation bit-exact).
+  /// section, so a resumed run carries the whole run's joules and
+  /// residuals). Capacities are not part of it: begin_run sets them from the
+  /// run's config.
   struct State {
     double cpu_total = 0.0;
     double radio_total = 0.0;
     ExactJoules exact_total;
     std::uint64_t debits = 0;
     std::vector<double> camera_joules;
-    std::vector<double> mirror_residual;
-    std::vector<double> mirror_capacity;
+    std::vector<double> residual;
     std::vector<std::pair<LedgerKey, LedgerEntry>> entries;
   };
   [[nodiscard]] State export_state() const;
+  /// Restore an armed book: `state` must hold one entry per camera, and each
+  /// residual is clamped to [0, capacity].
   void import_state(const State& state);
 
  private:
@@ -163,8 +162,8 @@ class EnergyLedger {
   ExactJoules exact_total_;
   std::uint64_t debits_ = 0;
   std::vector<double> camera_joules_;
-  std::vector<double> mirror_residual_;
-  std::vector<double> mirror_capacity_;
+  std::vector<double> residual_;
+  std::vector<double> capacity_;
   std::map<LedgerKey, LedgerEntry> entries_;
 };
 

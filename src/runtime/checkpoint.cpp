@@ -31,9 +31,8 @@ constexpr auto fields(Of<Ck::RoundLogState>) {
 }
 constexpr auto fields(Of<Ck::CameraState>) {
   using S = Ck::CameraState;
-  return std::tuple{&S::battery_residual, &S::has_assignment,   &S::active,
-                    &S::algorithm,        &S::threshold,        &S::applied_sequence,
-                    &S::deadline_strikes, &S::ladder};
+  return std::tuple{&S::has_assignment,   &S::active,           &S::algorithm, &S::threshold,
+                    &S::applied_sequence, &S::deadline_strikes, &S::ladder};
 }
 constexpr auto fields(Of<DegradationLadder::CameraState>) {
   using S = DegradationLadder::CameraState;
@@ -67,9 +66,8 @@ constexpr auto fields(Of<net::Network::QueuedMessage>) {
 }
 constexpr auto fields(Of<obs::EnergyLedger::State>) {
   using S = obs::EnergyLedger::State;
-  return std::tuple{&S::cpu_total,     &S::radio_total,     &S::exact_total,
-                    &S::debits,        &S::camera_joules,   &S::mirror_residual,
-                    &S::mirror_capacity, &S::entries};
+  return std::tuple{&S::cpu_total,     &S::radio_total, &S::exact_total, &S::debits,
+                    &S::camera_joules, &S::residual,    &S::entries};
 }
 constexpr auto fields(Of<obs::ExactJoules>) {
   return std::tuple{&obs::ExactJoules::limb, &obs::ExactJoules::inexact};
@@ -92,8 +90,8 @@ constexpr auto fields(Of<obs::AnomalyDetector::State>) {
 template <typename Fn>
 void for_each_section(Fn&& fn) {
   fn("config", &Ck::num_cameras, &Ck::config);
-  fn("progress", &Ck::frame_index, &Ck::rounds_completed, &Ck::cpu_joules, &Ck::radio_joules,
-     &Ck::humans_detected, &Ck::humans_present, &Ck::gt_frames_processed);
+  fn("progress", &Ck::frame_index, &Ck::rounds_completed, &Ck::humans_detected,
+     &Ck::humans_present, &Ck::gt_frames_processed);
   fn("context_gate", &Ck::windows_evaluated, &Ck::windows_pruned);
   fn("rounds", &Ck::rounds);
   fn("counters", &Ck::fault_counters);
@@ -231,12 +229,8 @@ SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> 
       require(p.camera >= 0 && p.camera < num_cameras,
               "pending assignment references unknown camera");
     }
-    // An EECS_OBS_OFF build never arms the ledger and writes it empty.
-    const std::size_t ledger_cameras = ck.ledger.camera_joules.size();
-    require((ledger_cameras == 0 || ledger_cameras == cameras) &&
-                ck.ledger.mirror_residual.size() == ledger_cameras &&
-                ck.ledger.mirror_capacity.size() == ledger_cameras,
-            "ledger arrays disagree with camera count");
+    require(ck.ledger.camera_joules.size() == cameras && ck.ledger.residual.size() == cameras,
+            "energy book arrays disagree with camera count");
     return ck;
   } catch (const ByteReader::DecodeError& e) {
     throw SnapshotError(std::string("checkpoint: malformed section: ") + e.what());

@@ -3,8 +3,9 @@
 // and config record), progress counters, result accumulators, per-camera
 // device state, controller registrations, liveness and retry-queue state,
 // the complete network state (clock, RNG stream, event queue), the
-// durable-runtime extensions (watchdog strikes, degradation ladder) and the
-// observability state. The struct mirrors the loop's state with plain data
+// durable-runtime extensions (watchdog strikes, degradation ladder), the
+// energy book (every joule total and battery residual) and the anomaly
+// detector's windows. The struct mirrors the loop's state with plain data
 // so the runtime layer stays independent of core; core fills and applies it.
 //
 // Serialized through the snapshot container, one CRC-checked section per
@@ -48,9 +49,8 @@ struct SimulationCheckpoint {
   std::int32_t frame_index = 0;  ///< Scene frames advanced; resume = skip(n).
   std::int64_t rounds_completed = 0;
 
-  // ---- Result accumulators at the checkpoint instant.
-  double cpu_joules = 0.0;
-  double radio_joules = 0.0;
+  // ---- Result accumulators at the checkpoint instant (the joules are in
+  // the energy book below).
   std::int32_t humans_detected = 0;
   std::int32_t humans_present = 0;
   std::int32_t gt_frames_processed = 0;
@@ -76,7 +76,6 @@ struct SimulationCheckpoint {
 
   // ---- Per-camera device + runtime state.
   struct CameraState {
-    double battery_residual = 0.0;
     std::uint8_t has_assignment = 0;
     std::uint8_t active = 0;
     std::int32_t algorithm = 0;
@@ -109,11 +108,12 @@ struct SimulationCheckpoint {
   // ---- Network substrate.
   net::Network::State network;
 
-  // ---- Observability: energy-audit ledger and anomaly-detector windows, so
-  // a resumed run's ledger conserves bit-exactly against the full run and the
-  // detector replays identical findings. The flight-recorder ring is NOT
-  // checkpointed: dumps written before the crash already persist its history,
-  // and a resumed recorder refills within one window of rounds.
+  // ---- The energy book (joule totals, battery residuals, per-key entries)
+  // and the anomaly-detector windows, so a resumed run's joules, residuals
+  // and ledger cover the whole run and the detector replays identical
+  // findings. The flight-recorder ring is NOT checkpointed: dumps written
+  // before the crash already persist its history, and a resumed recorder
+  // refills within one window of rounds.
   obs::EnergyLedger::State ledger;
   obs::AnomalyDetector::State anomaly;
 
@@ -124,8 +124,8 @@ struct SimulationCheckpoint {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   /// Throws SnapshotError on any malformed input (bad framing, another
   /// snapshot version, CRC mismatch, truncated section, a count larger than
-  /// its section, inconsistent per-camera array sizes, an algorithm id out of
-  /// range).
+  /// its section, a per-camera array not sized to the camera count, an
+  /// algorithm id out of range).
   [[nodiscard]] static SimulationCheckpoint decode(std::span<const std::uint8_t> bytes);
 
   void save(const std::string& path) const;

@@ -34,7 +34,7 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x53534345;
 /// Bumped whenever the framing or any section's encoding changes, which
 /// includes any change to the checkpoint's field lists or its config record.
 /// SimulationCheckpoint::decode accepts this version only.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Builds a snapshot: open sections in any order, fill each through the
 /// returned ByteWriter, then finish() to frame the container.

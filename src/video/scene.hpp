@@ -65,11 +65,6 @@ class SceneSimulator {
   /// Ground truth for the current (un-advanced) time step.
   [[nodiscard]] std::vector<GroundTruthBox> ground_truth(int camera_index) const;
 
-  /// True if this frame index carries dataset ground truth (stride cadence).
-  [[nodiscard]] bool has_ground_truth(int frame_index) const {
-    return frame_index % env_.ground_truth_stride == 0;
-  }
-
  private:
   void advance();
   [[nodiscard]] imaging::Image render(int camera_index) const;

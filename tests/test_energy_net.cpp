@@ -17,14 +17,12 @@ TEST(CostCounter, AccumulatesAndAdds) {
   a.add_pixels(100);
   a.add_features(50);
   a.add_classifier(25);
-  a.add_bytes(10);
   EXPECT_EQ(a.compute_ops(), 175u);
 
   energy::CostCounter b;
   b.add_pixels(1);
   const energy::CostCounter c = a + b;
   EXPECT_EQ(c.pixel_ops, 101u);
-  EXPECT_EQ(c.bytes_tx, 10u);
 }
 
 TEST(CpuEnergyModel, JoulesGrowWithWork) {
@@ -44,21 +42,6 @@ TEST(RadioModel, PerByteAndPerMessageCosts) {
   EXPECT_GT(big, one);
   EXPECT_GT(one, radio.joules_per_message * 0.99);
   EXPECT_GT(radio.tx_seconds(1000000), radio.tx_seconds(1000));
-}
-
-TEST(Battery, DrainClampsAtEmpty) {
-  energy::Battery battery(10.0);
-  EXPECT_DOUBLE_EQ(battery.drain(4.0), 4.0);
-  EXPECT_DOUBLE_EQ(battery.residual(), 6.0);
-  EXPECT_DOUBLE_EQ(battery.drain(100.0), 6.0);
-  EXPECT_TRUE(battery.empty());
-  EXPECT_DOUBLE_EQ(battery.consumed(), 10.0);
-}
-
-TEST(Battery, RejectsNegativeDrainAndCapacity) {
-  energy::Battery battery(5.0);
-  EXPECT_THROW((void)battery.drain(-1.0), ContractViolation);
-  EXPECT_THROW(energy::Battery(0.0), ContractViolation);
 }
 
 TEST(BudgetPlan, PaperArithmetic) {

@@ -220,14 +220,6 @@ TEST(Hog, OddCellSizeBinsAllPixels) {
   }
 }
 
-TEST(Census, WindowDescriptorNormalizedAndSized) {
-  const Image img = edge_image(64, 96);
-  const auto codes = census_transform(img);
-  const auto desc = census_window_descriptor(codes, 64, 96, 0, 0, 48, 96);
-  ASSERT_EQ(static_cast<int>(desc.size()), census_descriptor_size());
-  EXPECT_NEAR(l2(desc), 1.0, 1e-4);
-}
-
 TEST(ColorFeature, DimensionAndRange) {
   Image img(40, 80, 3);
   img.fill_channel(0, 0.8f);

@@ -100,15 +100,6 @@ TEST(Image, AdjustBrightnessClamps) {
   EXPECT_NEAR(adjust_brightness(img, 0.5f, 0.1f).at(0, 0), 0.5f, 1e-6);
 }
 
-TEST(Filter, BoxBlurPreservesConstantImage) {
-  Image img(8, 8, 1);
-  img.fill(0.25f);
-  const Image b = box_blur(img, 2);
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) EXPECT_NEAR(b.at(x, y), 0.25f, 1e-6);
-  }
-}
-
 TEST(Filter, GaussianBlurSmoothsImpulse) {
   Image img(9, 9, 1);
   img.at(4, 4) = 1.0f;
@@ -151,19 +142,6 @@ TEST(Filter, ResizeDownPreservesMeanApproximately) {
   }
   const Image r = resize(img, 8, 8);
   EXPECT_NEAR(channel_mean(r, 0), channel_mean(img, 0), 0.02f);
-}
-
-TEST(Filter, BlockDownsampleAverages) {
-  Image img(4, 4, 1);
-  img.at(0, 0) = 1.0f;
-  img.at(1, 0) = 1.0f;
-  img.at(0, 1) = 1.0f;
-  img.at(1, 1) = 1.0f;
-  const Image d = block_downsample(img, 2);
-  EXPECT_EQ(d.width(), 2);
-  EXPECT_EQ(d.height(), 2);
-  EXPECT_NEAR(d.at(0, 0), 1.0f, 1e-6);
-  EXPECT_NEAR(d.at(1, 1), 0.0f, 1e-6);
 }
 
 TEST(Filter, ResizeOnePixelImageBroadcasts) {

@@ -192,13 +192,12 @@ TEST_F(EecsIntegration, FaultAndTimingViewsMatchRegistry) {
   EXPECT_GT(result.faults.messages_sent, 0);  // The run actually exercised the net.
 }
 
-// Property: the energy-audit ledger balances bit-exactly against the result
-// accumulators and battery residuals under heavy fault injection — lossy
-// links, a mid-run blackout, camera crashes — and across a checkpointed
-// crash plus resume (the resumed ledger is restored from the snapshot, so it
-// must still cover the WHOLE run). Conservation is vacuous under
-// EECS_OBS_OFF (check() reports "obs-off" and passes), so this compiles and
-// runs in both build flavours.
+// Property: the energy book balances bit-exactly against the result's joules
+// and battery residuals, and its per-key entries sum exactly to its totals,
+// under heavy fault injection — lossy links, a mid-run blackout, camera
+// crashes — and across a checkpointed crash plus resume (the resumed book is
+// restored from the snapshot, so it must still cover the WHOLE run). The
+// book is on in every build, so this checks the same in both build flavours.
 TEST_F(EecsIntegration, LedgerConservationSurvivesFaultsAndResume) {
   EecsSimulationConfig cfg = config(SelectionMode::AllBest);
   cfg.uplink.loss_probability = 0.15;
@@ -289,12 +288,15 @@ TEST_F(GoldenLoop, DurableResumeBitExact) {
   const loop_digest::DurableDigest durable =
       loop_digest::durable_resume(bank(), knowledge(), "test_golden_loop.snap");
   expect_golden("durable_resume", durable.result);
-  // Under EECS_OBS_OFF the snapshot's ledger section is empty.
-  if constexpr (obs::kEnabled) expect_golden("durable_snapshot", durable.snapshot);
+  expect_golden("durable_snapshot", durable.snapshot);
 }
 
 TEST_F(GoldenLoop, FixedComboBitExact) {
   expect_golden("fixed_combo", loop_digest::fixed_combo(bank(), knowledge()));
+}
+
+TEST_F(GoldenLoop, AnomalyAdvisoryBitExact) {
+  expect_golden("anomaly_advisory", loop_digest::anomaly_advisory(bank(), knowledge()));
 }
 
 }  // namespace

@@ -265,9 +265,10 @@ TEST(Exposition, TextFormatCoversAllKindsCumulatively) {
   EXPECT_NE(text.find("debit_joules_count 3\n"), std::string::npos);
 }
 
-/// Debit one camera the way the loop does: ledger and the result-style
-/// accumulators see the same doubles in the same order, then the battery
-/// drain mirrors with the summed debit.
+/// Debit one camera the way the loop does: CPU and radio joules into the
+/// book, then their sum out of the camera's battery. `cpu_total` and
+/// `radio_total` add the same doubles in the same order, as a result read
+/// from the book holds them.
 void energy_like_debit(EnergyLedger& ledger, int camera, double cpu_j, double radio_j,
                        double& cpu_total, double& radio_total) {
   ledger.debit_cpu(camera, EnergyStage::Operation, 0, EnergyCause::Detect, cpu_j);
@@ -296,7 +297,6 @@ TEST(Ledger, ExactSumIsOrderIndependent) {
 }
 
 TEST(Ledger, ConservationHoldsAndFlagsDrift) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "ledger compiled out (EECS_OBS_OFF)";
   EnergyLedger ledger;
   ledger.begin_run({10.0, 10.0});
   ledger.set_round(0);
@@ -305,8 +305,9 @@ TEST(Ledger, ConservationHoldsAndFlagsDrift) {
   energy_like_debit(ledger, 0, 1.25, 0.5, cpu, radio);
   energy_like_debit(ledger, 1, 2.0, 0.25, cpu, radio);
   std::vector<double> residual = {10.0 - (1.25 + 0.5), 10.0 - (2.0 + 0.25)};
+  EXPECT_EQ(ledger.residuals(), residual);
   EXPECT_TRUE(ledger.check(cpu, radio, residual).ok);
-  // Any drift in any of the three views is reported.
+  // A result that did not come from this book is reported, clause by clause.
   const auto drifted = ledger.check(cpu + 1e-9, radio, residual);
   EXPECT_FALSE(drifted.ok);
   EXPECT_NE(drifted.detail.find("cpu"), std::string::npos);
@@ -314,18 +315,44 @@ TEST(Ledger, ConservationHoldsAndFlagsDrift) {
   EXPECT_FALSE(ledger.check(cpu, radio, residual).ok);
 }
 
+// A camera's battery is its residual in the book.
+TEST(Battery, DrainClampsAtEmpty) {
+  EnergyLedger ledger;
+  ledger.begin_run({10.0});
+  ledger.drain(0, 4.0);
+  EXPECT_DOUBLE_EQ(ledger.residual(0), 6.0);
+  EXPECT_FALSE(ledger.empty(0));
+  ledger.drain(0, 100.0);  // Over-drain clamps at zero.
+  EXPECT_DOUBLE_EQ(ledger.residual(0), 0.0);
+  EXPECT_TRUE(ledger.empty(0));
+  EXPECT_DOUBLE_EQ(ledger.capacity(0), 10.0);
+}
+
 TEST(Ledger, DrainClampMirrorsBattery) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "ledger compiled out (EECS_OBS_OFF)";
   EnergyLedger ledger;
   ledger.begin_run({1.0});
   ledger.drain(0, 0.75);
-  EXPECT_DOUBLE_EQ(ledger.mirror_residual(0), 0.25);
-  ledger.drain(0, 5.0);  // Over-drain clamps at zero, like energy::Battery.
-  EXPECT_DOUBLE_EQ(ledger.mirror_residual(0), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.residual(0), 0.25);
+  ledger.drain(0, 5.0);
+  EXPECT_DOUBLE_EQ(ledger.residual(0), 0.0);
+  // A result's battery residual must mirror the clamped book, not the
+  // unclamped arithmetic of the drains.
+  EXPECT_TRUE(ledger.check(0.0, 0.0, {0.0}).ok);
+  const auto unclamped = ledger.check(0.0, 0.0, {0.25 - 5.0});
+  EXPECT_FALSE(unclamped.ok);
+  EXPECT_NE(unclamped.detail.find("camera 0 result residual"), std::string::npos);
+}
+
+TEST(Ledger, RejectsNegativeDrainAndCapacity) {
+  EnergyLedger ledger;
+  ledger.begin_run({5.0});
+  EXPECT_THROW(ledger.drain(0, -1.0), ContractViolation);
+  EXPECT_THROW(ledger.begin_run({5.0, 0.0}), ContractViolation);
+  EXPECT_THROW(ledger.begin_run({-1.0}), ContractViolation);
+  EXPECT_DOUBLE_EQ(ledger.residual(0), 5.0);  // A refused call changes nothing.
 }
 
 TEST(Ledger, ExportImportRoundtripPreservesReport) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "ledger compiled out (EECS_OBS_OFF)";
   EnergyLedger ledger;
   ledger.begin_run({5.0});
   ledger.set_round(2);
@@ -333,10 +360,26 @@ TEST(Ledger, ExportImportRoundtripPreservesReport) {
   ledger.debit_radio(0, EnergyStage::Operation, 1, EnergyCause::Tx, 0.125);
   ledger.drain(0, 1.625);
   EnergyLedger restored;
+  restored.begin_run({5.0});
   restored.import_state(ledger.export_state());
   EXPECT_EQ(restored.report(), ledger.report());
   EXPECT_EQ(restored.cpu_total(), ledger.cpu_total());
-  EXPECT_EQ(restored.mirror_residual(0), ledger.mirror_residual(0));
+  EXPECT_EQ(restored.residual(0), ledger.residual(0));
+}
+
+TEST(Ledger, ImportClampsResidualToCapacity) {
+  EnergyLedger ledger;
+  ledger.begin_run({5.0, 5.0, 5.0});
+  EnergyLedger::State state = ledger.export_state();
+  state.residual = {7.5, -1.0, 2.5};
+  ledger.import_state(state);
+  EXPECT_EQ(ledger.residual(0), 5.0);
+  EXPECT_EQ(ledger.residual(1), 0.0);
+  EXPECT_TRUE(ledger.empty(1));
+  EXPECT_EQ(ledger.residual(2), 2.5);
+  // A state for another camera count is refused.
+  state.residual.pop_back();
+  EXPECT_THROW(ledger.import_state(state), ContractViolation);
 }
 
 TEST(Flight, RingKeepsNewestRoundsOldestFirst) {
@@ -402,7 +445,6 @@ TEST(Flight, MalformedDumpThrows) {
 }
 
 TEST(Anomaly, BurnRateNeedsFullWindowThenFlags) {
-  if (!kEnabled) GTEST_SKIP() << "detector compiled out (EECS_OBS_OFF)";
   AnomalyOptions options;
   options.window_rounds = 2;
   options.burn_rate_milli = 3000;  // 3x the window mean.
@@ -428,7 +470,6 @@ TEST(Anomaly, BurnRateNeedsFullWindowThenFlags) {
 }
 
 TEST(Anomaly, LossRateNeedsMinimumTraffic) {
-  if (!kEnabled) GTEST_SKIP() << "detector compiled out (EECS_OBS_OFF)";
   AnomalyOptions options;
   options.loss_rate_milli = 500;
   options.loss_min_messages = 8;
@@ -448,7 +489,6 @@ TEST(Anomaly, LossRateNeedsMinimumTraffic) {
 }
 
 TEST(Anomaly, LatencyCountsWindowMisses) {
-  if (!kEnabled) GTEST_SKIP() << "detector compiled out (EECS_OBS_OFF)";
   AnomalyOptions options;
   options.latency_miss_rounds = 2;
   AnomalyDetector detector(options, 0);
@@ -464,7 +504,6 @@ TEST(Anomaly, LatencyCountsWindowMisses) {
 }
 
 TEST(Anomaly, ExportImportReplaysIdenticalFindings) {
-  if (!kEnabled) GTEST_SKIP() << "detector compiled out (EECS_OBS_OFF)";
   AnomalyOptions options;
   options.window_rounds = 2;
   AnomalyDetector a(options, 1);

@@ -107,8 +107,6 @@ SimulationCheckpoint sample_checkpoint() {
   ck.config = {{"dataset", "1"}, {"seed", "777"}, {"context_gate.enabled", "0"}};
   ck.frame_index = 1600;
   ck.rounds_completed = 1;
-  ck.cpu_joules = 12.5;
-  ck.radio_joules = 0.75;
   ck.humans_detected = 42;
   ck.humans_present = 50;
   ck.gt_frames_processed = 24;
@@ -116,8 +114,8 @@ SimulationCheckpoint sample_checkpoint() {
   ck.windows_pruned = 348144;
   ck.rounds.push_back({1400, 10.5, 0.9, 10.0, 0.88, 2, "cam0:HOG cam1:ACF", 0});
   ck.fault_counters = {10, 2, 1, 0, 0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 1, 0, 0, 0, 0, 0};
-  ck.cameras.push_back({55.0, 1, 1, 0, -1.25, 3, 0, {0, 0, 0}});
-  ck.cameras.push_back({44.0, 1, 0, 1, 0.5, 4, 1, {1, 2, 0}});
+  ck.cameras.push_back({1, 1, 0, -1.25, 3, 0, {0, 0, 0}});
+  ck.cameras.push_back({1, 0, 1, 0.5, 4, 1, {1, 2, 0}});
   ck.registrations.push_back({0, 0, 3.0});
   ck.registrations.push_back({1, 1, 3.0});
   ck.liveness.last_heard = {1599.5, 1580.5};
@@ -141,8 +139,7 @@ SimulationCheckpoint sample_checkpoint() {
   ck.ledger.exact_total.limb[1] = 13;
   ck.ledger.debits = 3;
   ck.ledger.camera_joules = {10.0, 3.25};
-  ck.ledger.mirror_residual = {55.0, 44.0};
-  ck.ledger.mirror_capacity = {100.0, 100.0};
+  ck.ledger.residual = {55.0, 44.0};
   obs::LedgerEntry entry;
   entry.joules = 3.25;
   entry.debits = 2;
@@ -168,8 +165,6 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   EXPECT_EQ(back.config, ck.config);
   EXPECT_EQ(back.frame_index, ck.frame_index);
   EXPECT_EQ(back.rounds_completed, ck.rounds_completed);
-  EXPECT_EQ(back.cpu_joules, ck.cpu_joules);
-  EXPECT_EQ(back.radio_joules, ck.radio_joules);
   EXPECT_EQ(back.windows_evaluated, ck.windows_evaluated);
   EXPECT_EQ(back.windows_pruned, ck.windows_pruned);
   ASSERT_EQ(back.rounds.size(), 1u);
@@ -183,6 +178,9 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   EXPECT_EQ(back.network.rng.words, ck.network.rng.words);
   ASSERT_EQ(back.network.queue.size(), 1u);
   EXPECT_EQ(back.network.queue[0].payload, ck.network.queue[0].payload);
+  EXPECT_EQ(back.ledger.cpu_total, ck.ledger.cpu_total);
+  EXPECT_EQ(back.ledger.radio_total, ck.ledger.radio_total);
+  EXPECT_EQ(back.ledger.residual, ck.ledger.residual);
   ASSERT_EQ(back.ledger.entries.size(), 1u);
   EXPECT_EQ(back.ledger.entries[0].first, ck.ledger.entries[0].first);
   EXPECT_EQ(back.ledger.entries[0].second.exact, ck.ledger.entries[0].second.exact);
@@ -304,14 +302,14 @@ TEST(Checkpoint, CameraCountMismatchIsRejected) {
   ck.num_cameras = 3;  // But only 2 camera states.
   EXPECT_THROW((void)SimulationCheckpoint::decode(ck.encode()), SnapshotError);
 
-  // The ledger's per-camera arrays are either empty (an EECS_OBS_OFF build
-  // never arms the ledger) or one entry per camera.
+  // The energy book holds one residual and one joule total per camera, in
+  // every build: a short or an empty book is refused.
   SimulationCheckpoint short_ledger = sample_checkpoint();
-  short_ledger.ledger.mirror_residual.pop_back();
+  short_ledger.ledger.residual.pop_back();
   EXPECT_THROW((void)SimulationCheckpoint::decode(short_ledger.encode()), SnapshotError);
-  SimulationCheckpoint obs_off = sample_checkpoint();
-  obs_off.ledger = {};
-  EXPECT_NO_THROW((void)SimulationCheckpoint::decode(obs_off.encode()));
+  SimulationCheckpoint empty_book = sample_checkpoint();
+  empty_book.ledger = {};
+  EXPECT_THROW((void)SimulationCheckpoint::decode(empty_book.encode()), SnapshotError);
 }
 
 // A resumed camera's algorithm indexes the detector table, so an id out of

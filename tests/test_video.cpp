@@ -183,16 +183,6 @@ TEST(Scene, SkipAdvancesWithoutRendering) {
   }
 }
 
-TEST(Scene, GroundTruthCadenceFollowsDataset) {
-  SceneSimulator sim1(dataset1_lab(), 1);
-  EXPECT_TRUE(sim1.has_ground_truth(0));
-  EXPECT_FALSE(sim1.has_ground_truth(13));
-  EXPECT_TRUE(sim1.has_ground_truth(25));
-  SceneSimulator sim2(dataset2_chap(), 1);
-  EXPECT_TRUE(sim2.has_ground_truth(10));
-  EXPECT_FALSE(sim2.has_ground_truth(25));
-}
-
 TEST(Scene, SingleViewRenderMatchesConfiguredCamera) {
   SceneSimulator sim(dataset3_terrace(), 9);
   std::vector<GroundTruthBox> truth;

@@ -77,9 +77,9 @@ int check_invariants(int scene, const char* leg, const SimulationResult& r) {
   return failures;
 }
 
-/// Ledger conservation: the energy audit must balance bit-exactly against
-/// the leg's result accumulators and battery residuals (trivially passes
-/// under EECS_OBS_OFF, where the ledger compiles out).
+/// Ledger conservation: the leg's joules and battery residuals must be the
+/// energy book's, bit for bit, and the book's entries must sum exactly to
+/// its totals (the book is on in every build, EECS_OBS_OFF included).
 int check_conservation(int scene, const char* leg, obs::Telemetry& session,
                        const SimulationResult& r) {
   const auto conservation =

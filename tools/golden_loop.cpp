@@ -1,6 +1,6 @@
 // Regenerates tests/golden_loop.inc, the closed-loop goldens the GoldenLoop
 // tests in tests/test_integration.cpp assert: the %.17g report of every
-// SimulationResult field for the three legs of tests/loop_digest.hpp, plus
+// SimulationResult field for the four legs of tests/loop_digest.hpp, plus
 // the size and CRC32 of the durable leg's round-1 snapshot. Build it at any
 // commit and redirect the output over the .inc file to re-capture.
 #include <cstdio>
@@ -37,5 +37,6 @@ int main() {
   print_entry("durable_resume", durable.result);
   print_entry("durable_snapshot", durable.snapshot);
   print_entry("fixed_combo", loop_digest::fixed_combo(bank, knowledge));
+  print_entry("anomaly_advisory", loop_digest::anomaly_advisory(bank, knowledge));
   return 0;
 }

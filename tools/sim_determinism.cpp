@@ -37,10 +37,11 @@ std::string metric_lines(obs::Telemetry& session) {
 /// code so a broken audit fails even when it breaks identically in all modes.
 int g_conservation_failures = 0;
 
-/// Energy-audit lines: the conservation verdict (ledger totals bit-equal the
-/// result accumulators and battery residuals) plus the full %.17g per-entry
-/// ledger report, so a mis-attributed joule diverges the cross-mode diff even
-/// when the totals still balance.
+/// Energy-audit lines: the conservation verdict (the result's joules and
+/// battery residuals are the energy book's, and the book's entries sum
+/// exactly to its totals) plus the full %.17g per-entry ledger report, so a
+/// mis-attributed joule diverges the cross-mode diff even when the totals
+/// still balance.
 std::string ledger_lines(obs::Telemetry& session, const SimulationResult& r) {
   const obs::EnergyLedger& ledger = session.ledger();
   const auto conservation = ledger.check(r.cpu_joules, r.radio_joules, r.battery_residual);
