@@ -9,6 +9,10 @@
 #include <mutex>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/contracts.hpp"
 
 namespace eecs::common {
@@ -222,6 +226,12 @@ Rng task_rng(std::uint64_t base_seed, std::uint64_t task_index) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
   return Rng(z);
+}
+
+void trim_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace eecs::common

@@ -117,4 +117,11 @@ template <typename T>
 /// the task or in what order.
 [[nodiscard]] Rng task_rng(std::uint64_t base_seed, std::uint64_t task_index);
 
+/// Hand the heap's free pages back to the system. Buffers freed on pool
+/// threads land in those threads' malloc arenas, which glibc keeps mapped;
+/// a set-up phase that fanned its temporaries out over the pool calls this
+/// once they are gone, so the process does not carry that phase's peak into
+/// whatever runs next. A no-op outside glibc.
+void trim_heap();
+
 }  // namespace eecs::common

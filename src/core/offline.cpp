@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "common/parallel.hpp"
 
 namespace eecs::core {
@@ -231,12 +227,8 @@ OfflineKnowledge run_offline_training(const DetectorBank& detectors,
     profiles.push_back(std::move(profile));
   }
 
-#if defined(__GLIBC__)
-  // The stream freed its frames on pool threads, into per-thread malloc
-  // arenas that glibc keeps mapped. Hand the free pages back, so the process
-  // does not carry set-up's peak into whatever runs next.
-  malloc_trim(0);
-#endif
+  // The stream freed its frames on pool threads.
+  common::trim_heap();
   return OfflineKnowledge(std::move(profiles), std::move(comparator), std::move(extractor));
 }
 

@@ -195,25 +195,17 @@ std::vector<float> acf_window_features(const ChannelMap& channels, int x0, int y
 }
 
 void AcfDetector::train(const TrainingSet& training_set, Rng& rng) {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  for (const auto& p : training_set.positives) {
-    x.push_back(acf_window_features(compute_acf_channels(p), 0, 0));
-    y.push_back(1);
-  }
-  for (const auto& n : training_set.negatives) {
-    x.push_back(acf_window_features(compute_acf_channels(n), 0, 0));
-    y.push_back(-1);
-  }
+  const auto x = training_set.map<std::vector<float>>([](const imaging::Image& patch) {
+    return acf_window_features(compute_acf_channels(patch), 0, 0);
+  });
+  const std::vector<int> y = training_set.labels();
   model_ = train_adaboost(x, y, rng, params_.boost);
   total_alpha_ = 0.0;
   for (const Stump& st : model_.stumps) total_alpha_ += std::abs(static_cast<double>(st.alpha));
 
-  std::vector<double> pos_scores, neg_scores;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    (y[i] == 1 ? pos_scores : neg_scores).push_back(model_.score(x[i]));
-  }
-  fit_score_calibration(pos_scores, neg_scores);
+  std::vector<double> scores;
+  for (const auto& row : x) scores.push_back(model_.score(row));
+  fit_score_calibration(scores, y);
 }
 
 std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounter* cost) const {

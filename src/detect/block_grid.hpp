@@ -30,6 +30,9 @@ struct ScoreMap {
 
 class BlockGrid {
  public:
+  /// An empty grid (no blocks): a slot to assign a computed grid into.
+  BlockGrid() = default;
+
   /// Compute all 2x2-cell L2-hys-normalized blocks of the image's HOG grid.
   explicit BlockGrid(const imaging::Image& img, const features::HogParams& params = {},
                      energy::CostCounter* cost = nullptr);

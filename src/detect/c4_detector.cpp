@@ -181,23 +181,14 @@ void CensusCellGrid::window_scores_row(const LinearModel& model, int cell_x0, in
 }
 
 void C4Detector::train(const TrainingSet& training_set, Rng& rng) {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  for (const auto& p : training_set.positives) {
-    x.push_back(CensusCellGrid(p).window_descriptor(0, 0));
-    y.push_back(1);
-  }
-  for (const auto& n : training_set.negatives) {
-    x.push_back(CensusCellGrid(n).window_descriptor(0, 0));
-    y.push_back(-1);
-  }
+  const auto x = training_set.map<std::vector<float>>(
+      [](const imaging::Image& patch) { return CensusCellGrid(patch).window_descriptor(0, 0); });
+  const std::vector<int> y = training_set.labels();
   model_ = train_linear_svm(x, y, rng);
 
-  std::vector<double> pos_scores, neg_scores;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    (y[i] == 1 ? pos_scores : neg_scores).push_back(model_.score(x[i]));
-  }
-  fit_score_calibration(pos_scores, neg_scores);
+  std::vector<double> scores;
+  for (const auto& row : x) scores.push_back(model_.score(row));
+  fit_score_calibration(scores, y);
 }
 
 std::vector<Detection> C4Detector::run(FramePrecompute& pre, energy::CostCounter* cost) const {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "detect/acf_detector.hpp"
 #include "detect/c4_detector.hpp"
 #include "detect/frame_cache.hpp"
@@ -94,6 +95,16 @@ const imaging::Image& Detector::level(FramePrecompute& pre, const Rung& rung,
   return scaled;
 }
 
+void Detector::fit_score_calibration(const std::vector<double>& scores,
+                                     const std::vector<int>& labels) {
+  EECS_EXPECTS(scores.size() == labels.size());
+  std::vector<double> positive_scores, negative_scores;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    (labels[i] == 1 ? positive_scores : negative_scores).push_back(scores[i]);
+  }
+  platt_ = fit_platt(positive_scores, negative_scores);
+}
+
 void Detector::emit(std::vector<Detection>& out, const Rung& rung, int x, int y,
                     double score) const {
   if (score <= score_floor_) return;
@@ -118,15 +129,35 @@ std::unique_ptr<Detector> make_detector(AlgorithmId id) {
 
 std::vector<std::unique_ptr<Detector>> make_trained_detectors(std::uint64_t seed) {
   Rng rng(seed);
-  const TrainingSet training_set = generate_training_set(rng);
   std::vector<std::unique_ptr<Detector>> detectors;
-  detectors.reserve(all_algorithms().size());
-  for (AlgorithmId id : all_algorithms()) {
-    auto detector = make_detector(id);
-    Rng train_rng = rng.fork();
-    detector->train(training_set, train_rng);
-    detectors.push_back(std::move(detector));
+  {
+    const TrainingSet training_set = generate_training_set(rng);
+    // Each detector trains on its own fork of `rng`, drawn in
+    // all_algorithms() order, so the schedule below cannot change what any
+    // of them learns.
+    std::vector<Rng> forks;
+    for (AlgorithmId id : all_algorithms()) {
+      detectors.push_back(make_detector(id));
+      forks.push_back(rng.fork());
+    }
+    // ACF first, on the whole pool: its boosting fans out every round, and
+    // from a pool task those rounds would run inline. The other three fit
+    // serial Pegasos chains that no finer split speeds up bit-identically,
+    // so they train side by side as pool tasks.
+    std::vector<std::size_t> chains;
+    for (std::size_t i = 0; i < detectors.size(); ++i) {
+      if (detectors[i]->id() == AlgorithmId::Acf) {
+        detectors[i]->train(training_set, forks[i]);
+      } else {
+        chains.push_back(i);
+      }
+    }
+    common::parallel_for_each(chains.size(), [&](std::size_t k) {
+      detectors[chains[k]]->train(training_set, forks[chains[k]]);
+    });
   }
+  // The training set and the features were freed on pool threads.
+  common::trim_heap();
   return detectors;
 }
 

@@ -109,11 +109,9 @@ class Detector {
   /// probability, unless `score` is at or below the score floor.
   void emit(std::vector<Detection>& out, const Rung& rung, int x, int y, double score) const;
 
-  /// Fit Platt calibration from training-window scores.
-  void fit_score_calibration(const std::vector<double>& positive_scores,
-                             const std::vector<double>& negative_scores) {
-    platt_ = fit_platt(positive_scores, negative_scores);
-  }
+  /// Fit Platt calibration from training-window scores and their +-1
+  /// labels (TrainingSet::labels()).
+  void fit_score_calibration(const std::vector<double>& scores, const std::vector<int>& labels);
 
  private:
   /// HOG's and LSVM's shared level scan (hog_detector.hpp) calls sweep_rows

@@ -14,24 +14,13 @@ std::vector<float> patch_hog_descriptor(const imaging::Image& patch) {
 }
 
 void HogDetector::train(const TrainingSet& training_set, Rng& rng) {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  x.reserve(training_set.positives.size() + training_set.negatives.size());
-  for (const auto& p : training_set.positives) {
-    x.push_back(patch_hog_descriptor(p));
-    y.push_back(1);
-  }
-  for (const auto& n : training_set.negatives) {
-    x.push_back(patch_hog_descriptor(n));
-    y.push_back(-1);
-  }
+  const auto x = training_set.map<std::vector<float>>(patch_hog_descriptor);
+  const std::vector<int> y = training_set.labels();
   model_ = train_linear_svm(x, y, rng);
 
-  std::vector<double> pos_scores, neg_scores;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    (y[i] == 1 ? pos_scores : neg_scores).push_back(model_.score(x[i]));
-  }
-  fit_score_calibration(pos_scores, neg_scores);
+  std::vector<double> scores;
+  for (const auto& row : x) scores.push_back(model_.score(row));
+  fit_score_calibration(scores, y);
 }
 
 BlockGridLevel BlockGridLevel::scan(const Detector& detector, FramePrecompute& pre,

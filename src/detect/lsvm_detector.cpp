@@ -20,56 +20,33 @@ const std::array<PartSpec, kNumParts>& part_layout() {
   return kLayout;
 }
 
-namespace {
-
-/// Part descriptor at cell offset (px, py) of a canonical 48x96 patch grid.
-std::vector<float> part_descriptor(const BlockGrid& grid, int px, int py) {
-  return grid.window_descriptor(px, py, kPartCells, kPartCells);
-}
-
-}  // namespace
-
 void LsvmDetector::train(const TrainingSet& training_set, Rng& rng) {
-  // Root filter: identical pipeline to the HOG detector.
-  std::vector<std::vector<float>> root_x;
-  std::vector<int> root_y;
-  std::vector<BlockGrid> pos_grids, neg_grids;
-  pos_grids.reserve(training_set.positives.size());
-  neg_grids.reserve(training_set.negatives.size());
-  for (const auto& p : training_set.positives) pos_grids.emplace_back(p);
-  for (const auto& n : training_set.negatives) neg_grids.emplace_back(n);
+  // One block grid per patch, in index slots: the root and every part read it.
+  const auto grids =
+      training_set.map<BlockGrid>([](const imaging::Image& patch) { return BlockGrid(patch); });
+  const std::vector<int> y = training_set.labels();
+  // Every patch's window at cell offset (cx, cy), in training order.
+  const auto descriptors = [&](int cx, int cy, int cells_x, int cells_y) {
+    std::vector<std::vector<float>> x;
+    x.reserve(grids.size());
+    for (const BlockGrid& g : grids) x.push_back(g.window_descriptor(cx, cy, cells_x, cells_y));
+    return x;
+  };
 
-  for (const auto& g : pos_grids) {
-    root_x.push_back(g.window_descriptor(0, 0, kWindowCellsX, kWindowCellsY));
-    root_y.push_back(1);
-  }
-  for (const auto& g : neg_grids) {
-    root_x.push_back(g.window_descriptor(0, 0, kWindowCellsX, kWindowCellsY));
-    root_y.push_back(-1);
-  }
-  root_ = train_linear_svm(root_x, root_y, rng);
+  // Root filter: identical pipeline to the HOG detector.
+  root_ = train_linear_svm(descriptors(0, 0, kWindowCellsX, kWindowCellsY), y, rng);
 
   // Part filters: positives at their anchors, negatives at the same offsets.
   for (int p = 0; p < kNumParts; ++p) {
     const PartSpec& spec = part_layout()[static_cast<std::size_t>(p)];
-    std::vector<std::vector<float>> x;
-    std::vector<int> y;
-    for (const auto& g : pos_grids) {
-      x.push_back(part_descriptor(g, spec.anchor_x, spec.anchor_y));
-      y.push_back(1);
-    }
-    for (const auto& g : neg_grids) {
-      x.push_back(part_descriptor(g, spec.anchor_x, spec.anchor_y));
-      y.push_back(-1);
-    }
-    parts_[static_cast<std::size_t>(p)] = train_linear_svm(x, y, rng);
+    parts_[static_cast<std::size_t>(p)] = train_linear_svm(
+        descriptors(spec.anchor_x, spec.anchor_y, kPartCells, kPartCells), y, rng);
   }
 
   // Calibrate on combined scores over the training patches.
-  std::vector<double> pos_scores, neg_scores;
-  for (const auto& g : pos_grids) pos_scores.push_back(window_score(g, 0, 0, nullptr));
-  for (const auto& g : neg_grids) neg_scores.push_back(window_score(g, 0, 0, nullptr));
-  fit_score_calibration(pos_scores, neg_scores);
+  std::vector<double> scores;
+  for (const BlockGrid& g : grids) scores.push_back(window_score(g, 0, 0, nullptr));
+  fit_score_calibration(scores, y);
 }
 
 float LsvmDetector::window_score(const BlockGrid& grid, int cx, int cy,

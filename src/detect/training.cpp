@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "imaging/filter.hpp"
 #include "video/scene.hpp"
@@ -57,49 +58,94 @@ bool overlaps_any(const imaging::Rect& box, const std::vector<video::GroundTruth
 
 }  // namespace
 
+std::vector<int> TrainingSet::labels() const {
+  std::vector<int> out(positives.size(), 1);
+  out.resize(size(), -1);
+  return out;
+}
+
 TrainingSet generate_training_set(Rng& rng, const TrainingSetOptions& options) {
   EECS_EXPECTS(options.num_positives > 0 && options.num_negatives > 0);
   TrainingSet set;
 
+  /// One sampled frame, planned without rendering: the simulator as it
+  /// stood at the frame's step, and the crops to cut from its view.
+  struct PlannedFrame {
+    video::SceneSimulator sim;
+    int camera = 0;
+    std::vector<imaging::Rect> person_boxes;  ///< Positives, via window_crop.
+    std::vector<imaging::Rect> windows;       ///< Negatives, cropped as is.
+  };
+  struct FramePatches {
+    std::vector<imaging::Image> positives, negatives;
+  };
+
   constexpr int kScenes = 4;
+  int positives = 0, negatives = 0;
   int scene_index = 0;
-  while (static_cast<int>(set.positives.size()) < options.num_positives ||
-         static_cast<int>(set.negatives.size()) < options.num_negatives) {
+  while (positives < options.num_positives || negatives < options.num_negatives) {
     video::SceneSimulator sim(random_training_environment(rng, scene_index), rng.next_u64());
     ++scene_index;
+    const double width = sim.environment().image_width;
+    const double height = sim.environment().image_height;
     const int frames_per_scene = 24;
+    // Serial pass: every draw from `rng` and every count, from ground truth.
+    std::vector<PlannedFrame> plan;
+    plan.reserve(frames_per_scene);
     for (int f = 0; f < frames_per_scene; ++f) {
       const int camera = rng.uniform_int(0, video::kNumCamerasPerDataset - 1);
-      std::vector<video::GroundTruthBox> truth;
-      const imaging::Image frame = sim.next_frame_single(camera, &truth);
-      sim.skip(12);  // Decorrelate samples.
+      PlannedFrame& frame = plan.emplace_back(PlannedFrame{sim, camera, {}, {}});
+      const std::vector<video::GroundTruthBox> truth = sim.ground_truth(camera);
+      sim.skip(1 + 12);  // The frame's own step, then decorrelate samples.
 
       // Positives: well-visible people fully inside the frame.
       for (const auto& gt : truth) {
-        if (static_cast<int>(set.positives.size()) >= options.num_positives) break;
+        if (positives >= options.num_positives) break;
         if (gt.visibility < 0.75 || gt.in_image_fraction < 0.98) continue;
         if (gt.box.h < 30.0) continue;
-        set.positives.push_back(window_crop(frame, gt.box));
+        frame.person_boxes.push_back(gt.box);
+        ++positives;
       }
 
       // Negatives: random window-shaped crops that avoid people.
       int attempts = 0;
       const int wanted = options.num_negatives / (kScenes * frames_per_scene) + 2;
       int taken = 0;
-      while (taken < wanted && attempts < 60 &&
-             static_cast<int>(set.negatives.size()) < options.num_negatives) {
+      while (taken < wanted && attempts < 60 && negatives < options.num_negatives) {
         ++attempts;
-        const double h = rng.uniform(45.0, 0.9 * frame.height());
+        const double h = rng.uniform(45.0, 0.9 * height);
         const double w = h * static_cast<double>(kWindowWidth) / kWindowHeight;
-        const double x = rng.uniform(0.0, frame.width() - w);
-        const double y = rng.uniform(0.0, frame.height() - h);
+        const double x = rng.uniform(0.0, width - w);
+        const double y = rng.uniform(0.0, height - h);
         const imaging::Rect candidate{x, y, w, h};
         if (overlaps_any(candidate, truth, 0.15)) continue;
-        const imaging::Image crop = frame.crop(static_cast<int>(x), static_cast<int>(y),
-                                               static_cast<int>(w), static_cast<int>(h));
-        set.negatives.push_back(imaging::resize(crop, kWindowWidth, kWindowHeight));
+        frame.windows.push_back(candidate);
+        ++negatives;
         ++taken;
       }
+    }
+
+    // Parallel pass: each frame renders and cuts its crops into its own
+    // slot; the slots append in frame order. The scene is done before the
+    // next one steps, so one scene's frames are in flight at a time.
+    auto patches = common::parallel_map<FramePatches>(plan.size(), [&](std::size_t i) {
+      const PlannedFrame& planned = plan[i];
+      const imaging::Image frame = planned.sim.view(planned.camera);
+      FramePatches out;
+      for (const imaging::Rect& box : planned.person_boxes) {
+        out.positives.push_back(window_crop(frame, box));
+      }
+      for (const imaging::Rect& r : planned.windows) {
+        const imaging::Image crop =
+            frame.crop(static_cast<int>(r.x), static_cast<int>(r.y), static_cast<int>(r.w),
+                       static_cast<int>(r.h));
+        out.negatives.push_back(imaging::resize(crop, kWindowWidth, kWindowHeight));
+      }
+      return out;
+    });
+    for (FramePatches& p : patches) {
+      std::move(p.positives.begin(), p.positives.end(), std::back_inserter(set.positives));
+      std::move(p.negatives.begin(), p.negatives.end(), std::back_inserter(set.negatives));
     }
     if (scene_index > 16) break;  // Safety valve; never triggers in practice.
   }

@@ -110,12 +110,6 @@ Image to_gray(const Image& img) {
   return out;
 }
 
-Image adjust_brightness(const Image& img, float gain, float offset) {
-  Image out = img;
-  for (auto& v : out.data()) v = std::clamp(gain * v + offset, 0.0f, 1.0f);
-  return out;
-}
-
 float channel_mean(const Image& img, int c) {
   EECS_EXPECTS(!img.empty());
   const auto p = img.plane(c);

@@ -88,9 +88,6 @@ class Image {
 /// Luma conversion (Rec. 601 weights); identity for single-channel input.
 [[nodiscard]] Image to_gray(const Image& img);
 
-/// Per-pixel gain/offset with clamping to [0, 1]: out = gain * in + offset.
-[[nodiscard]] Image adjust_brightness(const Image& img, float gain, float offset);
-
 /// Mean of all pixels in a channel.
 [[nodiscard]] float channel_mean(const Image& img, int c);
 

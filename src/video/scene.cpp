@@ -45,17 +45,25 @@ double in_image_fraction(const Rect& box, int width, int height) {
          box.area();
 }
 
-/// Uniform sensor noise with the requested standard deviation, identical
-/// across channels (luminance noise), deterministic per (pixel, frame).
-void add_sensor_noise(Image& img, float sigma, unsigned frame_seed) {
-  if (sigma <= 0.0f) return;
+/// The sensor's response, in place and in one pass: the illumination
+/// gain/offset clamped to [0, 1], then uniform sensor noise with the
+/// requested standard deviation, identical across channels (luminance
+/// noise) and deterministic per (pixel, frame), clamped again.
+void expose(Image& img, float gain, float offset, float sigma, unsigned frame_seed) {
+  const bool noisy = sigma > 0.0f;
   const float amp = sigma * 3.4641016f;  // Uniform [-a/2, a/2] has sigma = a/sqrt(12).
+  std::vector<float> noise(static_cast<std::size_t>(img.width()));
   for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      const float n = (imaging::hash_noise(x, y, frame_seed) - 0.5f) * amp;
-      for (int c = 0; c < img.channels(); ++c) {
-        float& v = img.at(x, y, c);
-        v = std::clamp(v + n, 0.0f, 1.0f);
+    if (noisy) {
+      for (int x = 0; x < img.width(); ++x) {
+        noise[static_cast<std::size_t>(x)] = (imaging::hash_noise(x, y, frame_seed) - 0.5f) * amp;
+      }
+    }
+    for (int c = 0; c < img.channels(); ++c) {
+      float* row = &img.at(0, y, c);
+      for (int x = 0; x < img.width(); ++x) {
+        row[x] = std::clamp(gain * row[x] + offset, 0.0f, 1.0f);
+        if (noisy) row[x] = std::clamp(row[x] + noise[static_cast<std::size_t>(x)], 0.0f, 1.0f);
       }
     }
   }
@@ -110,24 +118,25 @@ SceneSimulator::SceneSimulator(const Environment& env, std::uint64_t seed)
     clutter_.push_back(item);
   }
 
-  backgrounds_.reserve(cameras_.size());
-  for (std::size_t i = 0; i < cameras_.size(); ++i) {
-    backgrounds_.push_back(make_background(static_cast<int>(i)));
-  }
+  // Each background draws from its own feature_rng, so the four build as
+  // independent tasks into index slots.
+  auto backgrounds = std::make_shared<std::vector<Image>>(cameras_.size());
+  common::parallel_for_each(cameras_.size(), [&](std::size_t i) {
+    (*backgrounds)[i] = make_background(static_cast<int>(i));
+  });
+  backgrounds_ = std::move(backgrounds);
 }
 
 Image SceneSimulator::make_background(int camera_index) const {
   const PinholeCamera& cam = cameras_[static_cast<std::size_t>(camera_index)];
   Image img(env_.image_width, env_.image_height, 3);
 
-  // Horizon: v coordinate of a very distant ground point straight ahead.
-  const Vec3 far_ground{env_.room_w / 2.0 + (env_.room_w / 2.0 + 500.0), env_.room_h / 2.0, 0.0};
+  // Horizon: v coordinate of a very distant ground point straight ahead,
+  // projected along the camera's forward ground direction so all four
+  // corner cameras get a sane horizon.
   double horizon_v = env_.image_height * 0.35;
-  // Project a far point along the camera's forward ground direction instead
-  // of a fixed world point, so all four corner cameras get a sane horizon.
   const Vec3 probe = cam.position() + 500.0 * (Vec3{env_.room_w / 2.0, env_.room_h / 2.0, cam.position().z} - cam.position()).normalized();
   if (const auto px = cam.project({probe.x, probe.y, 0.0})) horizon_v = px->y;
-  (void)far_ground;
 
   // Per-camera brightness tilt: each camera faces a different wall of the
   // room, so the background tone and features differ per view (as they do in
@@ -214,9 +223,10 @@ void SceneSimulator::render_clutter(Image& img, const PinholeCamera& cam,
   draw_clutter_sprite(img, *maybe_box, ClutterSprite{item.color, item.shelves});
 }
 
-Image SceneSimulator::render(int camera_index) const {
+Image SceneSimulator::view(int camera_index) const {
+  EECS_EXPECTS(camera_index >= 0 && camera_index < static_cast<int>(cameras_.size()));
   const PinholeCamera& cam = cameras_[static_cast<std::size_t>(camera_index)];
-  Image img = backgrounds_[static_cast<std::size_t>(camera_index)];
+  Image img = (*backgrounds_)[static_cast<std::size_t>(camera_index)];
 
   // Painter's algorithm over people and clutter together.
   struct Drawable {
@@ -245,9 +255,8 @@ Image SceneSimulator::render(int camera_index) const {
     }
   }
 
-  img = imaging::adjust_brightness(img, env_.illumination_gain, env_.illumination_offset);
-  add_sensor_noise(img, env_.sensor_noise_sigma,
-                   static_cast<unsigned>(frame_index_ * 131 + camera_index * 7 + 1));
+  expose(img, env_.illumination_gain, env_.illumination_offset, env_.sensor_noise_sigma,
+         static_cast<unsigned>(frame_index_ * 131 + camera_index * 7 + 1));
   return img;
 }
 
@@ -308,7 +317,7 @@ MultiViewFrame SceneSimulator::next_frame() {
   frame.views.resize(cameras_.size());
   frame.truth.resize(cameras_.size());
   common::parallel_for_each(cameras_.size(), [&](std::size_t i) {
-    frame.views[i] = render(static_cast<int>(i));
+    frame.views[i] = view(static_cast<int>(i));
     frame.truth[i] = ground_truth(static_cast<int>(i));
   });
   frame.world_positions.reserve(people_.size());
@@ -318,8 +327,7 @@ MultiViewFrame SceneSimulator::next_frame() {
 }
 
 Image SceneSimulator::next_frame_single(int camera_index, std::vector<GroundTruthBox>* truth_out) {
-  EECS_EXPECTS(camera_index >= 0 && camera_index < static_cast<int>(cameras_.size()));
-  Image img = render(camera_index);
+  Image img = view(camera_index);
   if (truth_out != nullptr) *truth_out = ground_truth(camera_index);
   advance();
   return img;

@@ -6,6 +6,7 @@
 // annotations + calibration.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "geometry/camera.hpp"
@@ -43,6 +44,9 @@ struct MultiViewFrame {
   std::vector<geometry::Vec2> world_positions;          ///< Per person, ground plane.
 };
 
+/// Copyable: a copy shares the immutable pre-baked backgrounds, so it costs
+/// the people and cameras, not four frames, and renders exactly what the
+/// original renders at the same step.
 class SceneSimulator {
  public:
   SceneSimulator(const Environment& env, std::uint64_t seed);
@@ -59,6 +63,10 @@ class SceneSimulator {
   [[nodiscard]] imaging::Image next_frame_single(int camera_index,
                                                  std::vector<GroundTruthBox>* truth_out = nullptr);
 
+  /// Render one camera's view of the current (un-advanced) time step. A pure
+  /// function of the scene state: per-pixel hash noise, no shared RNG.
+  [[nodiscard]] imaging::Image view(int camera_index) const;
+
   /// Advance n steps without rendering (motion only).
   void skip(int n);
 
@@ -67,7 +75,6 @@ class SceneSimulator {
 
  private:
   void advance();
-  [[nodiscard]] imaging::Image render(int camera_index) const;
   void render_person(imaging::Image& img, const geometry::PinholeCamera& cam,
                      const Person& person) const;
   void render_clutter(imaging::Image& img, const geometry::PinholeCamera& cam,
@@ -85,7 +92,8 @@ class SceneSimulator {
   std::vector<geometry::PinholeCamera> cameras_;
   std::vector<Person> people_;
   std::vector<ClutterItem> clutter_;
-  std::vector<imaging::Image> backgrounds_;  ///< Pre-baked static content per camera.
+  /// Pre-baked static content per camera, shared by copies.
+  std::shared_ptr<const std::vector<imaging::Image>> backgrounds_;
   int frame_index_ = 0;
   double dt_ = 0.1;  ///< Seconds per frame (10 fps).
 };

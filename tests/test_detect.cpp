@@ -310,6 +310,20 @@ TEST(Training, DeterministicForSameSeed) {
   EXPECT_EQ(sa.positives[0].at(10, 20, 1), sb.positives[0].at(10, 20, 1));
 }
 
+// The generator plans each scene serially and renders its frames in
+// parallel. It must produce the serial generator's patches, in order, and
+// leave the generator's stream where the serial one did: the detectors'
+// forks are drawn from it. The constant is the serial generator's digest.
+TEST(Training, DefaultSetMatchesSerialGeneration) {
+  const std::string serial =
+      "training-set positives=350 negatives=700 fnv1a=cc710f79b6d1c326 "
+      "next_u64=1a31ae856775058e\n";
+  for (const int width : {1, 4}) {
+    const common::ScopedThreads threads(width);
+    EXPECT_EQ(setup_digest::training_set(1234), serial) << "width " << width;
+  }
+}
+
 TEST(Detector, WindowToPersonBoxShrinks) {
   const imaging::Rect person = window_to_person_box({0, 0, 48, 96});
   EXPECT_GT(person.x, 0.0);

@@ -92,14 +92,6 @@ TEST(Image, ToGrayUsesLumaWeights) {
   EXPECT_NEAR(g.at(0, 0), 0.299f, 1e-6);
 }
 
-TEST(Image, AdjustBrightnessClamps) {
-  Image img(1, 1, 1);
-  img.at(0, 0) = 0.8f;
-  EXPECT_EQ(adjust_brightness(img, 2.0f, 0.0f).at(0, 0), 1.0f);
-  EXPECT_EQ(adjust_brightness(img, 1.0f, -1.0f).at(0, 0), 0.0f);
-  EXPECT_NEAR(adjust_brightness(img, 0.5f, 0.1f).at(0, 0), 0.5f, 1e-6);
-}
-
 TEST(Filter, GaussianBlurSmoothsImpulse) {
   Image img(9, 9, 1);
   img.at(4, 4) = 1.0f;

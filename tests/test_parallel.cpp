@@ -186,15 +186,16 @@ TEST(ThreadInvariance, SimulationIsBitIdenticalAcrossWidths) {
   }
 }
 
-// Set-up fans out too (AdaBoost stump search, per-item offline build): the
-// bank and knowledge built at width 1 and width 4 must agree at %.17g in
-// every detection on a probe frame, every profile field, and every
-// comparator similarity.
+// Set-up fans out too (training-set rendering, per-patch features, side-by-
+// side fits, AdaBoost stump search, per-item offline build): the training
+// set, bank and knowledge built at width 1 and width 4 must agree in every
+// patch, and at %.17g in every detection on a probe frame, every profile
+// field, and every comparator similarity.
 TEST(ThreadInvariance, SetupIsBitIdenticalAcrossWidths) {
   const auto setup_at = [](int width) {
     const ScopedThreads threads(width);
     const core::DetectorBank bank = detect::make_trained_detectors(1234);
-    return setup_digest::detections(bank) +
+    return setup_digest::training_set(1234) + setup_digest::detections(bank) +
            setup_digest::knowledge(setup_digest::reference_knowledge(bank, 4));
   };
   const std::string serial = setup_at(1);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 
 #include "video/environment.hpp"
 #include "video/person.hpp"
@@ -191,10 +193,71 @@ TEST(Scene, SingleViewRenderMatchesConfiguredCamera) {
   EXPECT_EQ(sim.frame_index(), 1);
 }
 
+bool same_pixels(const imaging::Image& a, const imaging::Image& b) {
+  return a.width() == b.width() && a.height() == b.height() && a.channels() == b.channels() &&
+         std::equal(a.data().begin(), a.data().end(), b.data().begin());
+}
+
+void expect_same_truth(const std::vector<GroundTruthBox>& a, const std::vector<GroundTruthBox>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].person_id, b[i].person_id);
+    EXPECT_EQ(a[i].box.x, b[i].box.x);
+    EXPECT_EQ(a[i].box.y, b[i].box.y);
+    EXPECT_EQ(a[i].box.w, b[i].box.w);
+    EXPECT_EQ(a[i].box.h, b[i].box.h);
+    EXPECT_EQ(a[i].visibility, b[i].visibility);
+    EXPECT_EQ(a[i].in_image_fraction, b[i].in_image_fraction);
+  }
+}
+
+// view() renders the current step without advancing, exactly what
+// next_frame_single() returns for it; a copy taken before the step keeps
+// rendering that step after the original moves on.
+TEST(Scene, ViewAndCopiesRenderTheSameStep) {
+  SceneSimulator sim(dataset2_chap(), 21);
+  sim.skip(3);
+  const SceneSimulator copy = sim;
+  const imaging::Image view = sim.view(2);
+  EXPECT_EQ(sim.frame_index(), 3);
+  std::vector<GroundTruthBox> truth;
+  const imaging::Image stepped = sim.next_frame_single(2, &truth);
+  EXPECT_EQ(sim.frame_index(), 4);
+  EXPECT_FALSE(truth.empty());
+  EXPECT_TRUE(same_pixels(view, stepped));
+
+  EXPECT_EQ(copy.frame_index(), 3);
+  EXPECT_TRUE(same_pixels(copy.view(2), stepped));
+  expect_same_truth(copy.ground_truth(2), truth);
+  EXPECT_FALSE(same_pixels(sim.view(2), stepped));  // The original moved on.
+}
+
+// The sensor clamps twice: the illumination gain/offset to [0, 1], then the
+// noise added on top of it. Saturating either way must keep every pixel in
+// range, and the noise must still show on the saturated frame.
+TEST(Scene, ExposureClampsGainOffsetThenNoise) {
+  for (const auto& [gain, offset, rail] :
+       {std::tuple{4.0f, 0.5f, 1.0f}, std::tuple{0.2f, -0.6f, 0.0f}}) {
+    Environment env = dataset1_lab();
+    env.illumination_gain = gain;
+    env.illumination_offset = offset;
+    const imaging::Image img = SceneSimulator(env, 3).view(0);
+    int on_rail = 0;
+    for (const float v : img.data()) {
+      ASSERT_GE(v, 0.0f);
+      ASSERT_LE(v, 1.0f);
+      on_rail += v == rail;
+    }
+    EXPECT_GT(on_rail, 0) << "gain " << gain;
+    EXPECT_LT(on_rail, static_cast<int>(img.data().size())) << "gain " << gain;
+  }
+}
+
 TEST(Scene, InvalidCameraIndexViolatesContract) {
   SceneSimulator sim(dataset1_lab(), 9);
   EXPECT_THROW((void)sim.ground_truth(4), ContractViolation);
   EXPECT_THROW((void)sim.next_frame_single(-1), ContractViolation);
+  EXPECT_THROW((void)sim.view(4), ContractViolation);
 }
 
 TEST(Scene, Dataset2ContainsClutterOccluders) {

@@ -182,7 +182,8 @@ Setup build_setup(int threads) {
   const common::ScopedThreads width(threads);
   DetectorBank bank = detect::make_trained_detectors(1234);
   OfflineKnowledge knowledge = setup_digest::reference_knowledge(bank, 4);
-  std::string digest = setup_digest::detections(bank) + setup_digest::knowledge(knowledge);
+  std::string digest = setup_digest::training_set(1234) + setup_digest::detections(bank) +
+                       setup_digest::knowledge(knowledge);
   return {std::move(bank), std::move(knowledge), std::move(digest)};
 }
 
@@ -200,9 +201,9 @@ int main(int argc, char** argv) {
   int rc = 0;
 
   // Set-up fans out too: the set-up built at width 1 (the exact serial path)
-  // and at width N must agree in every detection on a probe frame, every
-  // profile field and every comparator similarity. The loop legs below run
-  // on the width-1 set-up.
+  // and at width N must agree in every training patch, every detection on a
+  // probe frame, every profile field and every comparator similarity. The
+  // loop legs below run on the width-1 set-up.
   const Setup setup = build_setup(1);
   std::fputs(setup.digest.c_str(), stdout);
   const std::string setup_wide = build_setup(wide).digest;
