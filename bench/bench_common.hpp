@@ -48,7 +48,7 @@ inline void warn_if_debug_build() {
 /// is visible in the committed artifact itself. eecs_simd records the active
 /// dispatch backend ("sse2"/"avx2"/"avx512"/"neon", "emul256"/"emul512", or
 /// "scalar"); eecs_simd_width its virtual lane width in bits (128/256/512),
-/// so rows from baseline and -march=x86-64-v3/v4 builds stay comparable.
+/// so rows taken under different dispatch tiers stay comparable.
 inline std::string json_build_context() {
   return format("\"ndebug\": %s, \"obs\": \"%s\", \"eecs_simd\": \"%s\", \"eecs_simd_width\": %d",
                 kAssertsCompiledIn ? "false" : "true", obs::kEnabled ? "on" : "off",

@@ -218,8 +218,8 @@ BENCHMARK(BM_ContextGate)->Arg(0)->Arg(1);
 // and the forced-emulation twins (-256/-512). Outputs are bit-identical
 // across every mode by contract (see tools/sim_determinism); these quantify
 // the speed side of the trade. Labels carry the resolved dispatch backend
-// ("sse2", "avx2", "emul512", ...) so JSON rows from baseline and -march
-// builds stay distinguishable. Single threaded so the dispatch mode is the
+// ("sse2", "avx2", "emul512", ...) so JSON rows from hosts with different
+// tiers stay distinguishable. Single threaded so the dispatch mode is the
 // only variable.
 void BM_SimdKernelsCensus(benchmark::State& state) {
   const common::ScopedThreads width(1);

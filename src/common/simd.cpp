@@ -68,8 +68,8 @@ int env_default() {
 
 /// Runtime CPU support for each compiled native tier. The 128-bit tier is
 /// the build baseline (SSE2/NEON), so compiled-in implies supported; the
-/// wider x86 tiers may be compiled into a binary that runs on a narrower
-/// host, so they are probed.
+/// wider x86 tiers are compiled into binaries that run on narrower hosts, so
+/// they are probed (the probe also checks that the OS saves their registers).
 bool native256_available() {
 #if defined(EECS_SIMD_AVX2)
   static const bool value = __builtin_cpu_supports("avx2");
@@ -96,17 +96,28 @@ int active_mode() {
 }  // namespace
 
 const char* isa_name() {
-#if defined(EECS_SIMD_AVX512)
-  return "avx512";
-#elif defined(EECS_SIMD_AVX2)
-  return "avx2";
-#elif defined(EECS_SIMD_SSE2)
+  if (native512_available()) return "avx512";
+  if (native256_available()) return "avx2";
+#if defined(EECS_SIMD_SSE2)
   return "sse2";
 #elif defined(EECS_SIMD_NEON)
   return "neon";
 #else
   return "scalar";
 #endif
+}
+
+bool native_available(int width_bits) {
+  switch (width_bits) {
+    case 128:
+      return kNativeBackend;
+    case 256:
+      return native256_available();
+    case 512:
+      return native512_available();
+    default:
+      return false;
+  }
 }
 
 Dispatch current_dispatch() {

@@ -22,8 +22,27 @@
 // correctly-rounded sqrt, exact floor), so the native and emulated builds,
 // every ISA, and every WIDTH produce bit-identical results by construction.
 // No FMA is ever emitted through this API (mul and add round separately,
-// like the scalar code they replace); arch-enabled builds must compile with
-// -ffp-contract=off so the compiler cannot fuse them behind our back.
+// like the scalar code they replace); every x86 build compiles with
+// -ffp-contract=off so the compiler cannot fuse them behind our back (the
+// avx512f target enables GCC's FMA patterns, so this flag, not the target
+// strings, is what keeps them out).
+//
+// Runtime tiers on x86-64: the 128-bit SSE2 packs are the build baseline.
+// Every optimised GCC x86-64 build also compiles the 8- and 16-lane packs,
+// with no -march: each of their members carries a per-function target
+// attribute (avx2 / avx512f), and `dispatch` selects a tier only when the CPU
+// probe in simd.cpp says this host runs it. Baseline code must never
+// call those members out of line — the host may lack the ISA, and the vector
+// ABI differs — so the rule is: A PACK NEVER CROSSES AN OUT-OF-LINE CALL.
+// `dispatch` enters each wide tier through one trampoline compiled for that
+// tier with `flatten`, which inlines the kernel lambda and every same-TU
+// helper it calls. A lambda handed to parallel_for is called through
+// std::function, out of line, so a kernel dispatches INSIDE each task, never
+// around the parallel loop. The `simd_tier_calls` test disassembles the test
+// and tool binaries and fails on any call to a wide-pack symbol. GCC ignores
+// `flatten` at -O0, so unoptimised builds compile only the baseline tier.
+// Clang builds do too: the scheme rests on GCC's `flatten` inlining every
+// helper into the trampoline, and has not been checked under Clang's inliner.
 //
 // Runtime control mirrors the threads knob: `config.simd` (runners, via
 // ScopedSimd) > `EECS_SIMD` env > compiled default. Modes:
@@ -51,11 +70,10 @@
 #if defined(__SSE4_1__)
 #include <smmintrin.h>
 #endif
-#if defined(__AVX2__)
+// The wide tiers, under target attributes, in optimised GCC x86-64 builds
+// (see the header comment).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && defined(__OPTIMIZE__)
 #define EECS_SIMD_AVX2 1
-#include <immintrin.h>
-#endif
-#if defined(__AVX512F__)
 #define EECS_SIMD_AVX512 1
 #include <immintrin.h>
 #endif
@@ -64,6 +82,11 @@
 #include <arm_neon.h>
 #endif
 #endif  // !EECS_SIMD_DISABLE
+
+// Every member of a wide pack, and every trampoline into its tier, is compiled
+// for that tier's ISA.
+#define EECS_SIMD_TIER256 [[gnu::target("avx2")]]
+#define EECS_SIMD_TIER512 [[gnu::target("avx512f")]]
 
 namespace eecs::simd {
 
@@ -79,9 +102,14 @@ inline constexpr bool kNativeBackend = true;
 inline constexpr bool kNativeBackend = false;
 #endif
 
-/// Widest native backend compiled in: "avx512", "avx2", "sse2", "neon", or
-/// "scalar".
+/// Native backend that `auto` dispatches on this CPU: the widest tier that is
+/// compiled in and that the CPU runs ("avx512", "avx2", "sse2", "neon"), or
+/// "scalar" when no native backend is compiled in.
 [[nodiscard]] const char* isa_name();
+
+/// True when the native packs of that virtual width (128/256/512 bits) are
+/// compiled in and this CPU runs them. The 128-bit tier is the build baseline.
+[[nodiscard]] bool native_available(int width_bits);
 
 /// Active dispatch backend: "avx512"/"avx2"/"sse2"/"neon" when a native
 /// width is selected, "scalar" for baseline emulation, "emul256"/"emul512"
@@ -421,9 +449,9 @@ inline void transpose4(F32x4Emul& a, F32x4Emul& b, F32x4Emul& c, F32x4Emul& d) {
 
 // ---------------------------------------------------------------------------
 // Native backends. Each implements the exact per-lane semantics above at its
-// width. Wider x86 tiers are only compiled under -march flags that enable
-// them (CMake option EECS_ARCH); the dispatcher additionally checks CPU
-// support at runtime before selecting them.
+// width. The wider x86 tiers carry their ISA in a per-member target attribute
+// (see the header comment); the dispatcher selects them only where the CPU
+// runs them.
 // ---------------------------------------------------------------------------
 
 #if defined(EECS_SIMD_SSE2)
@@ -688,22 +716,34 @@ struct U32x8 {
   static constexpr int kLanes = 8;
   __m256i v;
 
-  static U32x8 broadcast(std::uint32_t x) { return {_mm256_set1_epi32(static_cast<int>(x))}; }
-  [[nodiscard]] std::uint32_t extract(int i) const {
+  EECS_SIMD_TIER256 static U32x8 broadcast(std::uint32_t x) {
+    return {_mm256_set1_epi32(static_cast<int>(x))};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 std::uint32_t extract(int i) const {
     alignas(32) std::uint32_t tmp[8];
     _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
     return tmp[i];
   }
 
-  friend U32x8 operator&(U32x8 a, U32x8 b) { return {_mm256_and_si256(a.v, b.v)}; }
-  friend U32x8 operator|(U32x8 a, U32x8 b) { return {_mm256_or_si256(a.v, b.v)}; }
-  friend U32x8 operator^(U32x8 a, U32x8 b) { return {_mm256_xor_si256(a.v, b.v)}; }
-  friend U32x8 operator-(U32x8 a, U32x8 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
-  [[nodiscard]] static U32x8 cmpeq(U32x8 a, U32x8 b) { return {_mm256_cmpeq_epi32(a.v, b.v)}; }
-  [[nodiscard]] static U32x8 cmpgt_signed(U32x8 a, U32x8 b) {
+  EECS_SIMD_TIER256 friend U32x8 operator&(U32x8 a, U32x8 b) {
+    return {_mm256_and_si256(a.v, b.v)};
+  }
+  EECS_SIMD_TIER256 friend U32x8 operator|(U32x8 a, U32x8 b) { return {_mm256_or_si256(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend U32x8 operator^(U32x8 a, U32x8 b) {
+    return {_mm256_xor_si256(a.v, b.v)};
+  }
+  EECS_SIMD_TIER256 friend U32x8 operator-(U32x8 a, U32x8 b) {
+    return {_mm256_sub_epi32(a.v, b.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 static U32x8 cmpeq(U32x8 a, U32x8 b) {
+    return {_mm256_cmpeq_epi32(a.v, b.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 static U32x8 cmpgt_signed(U32x8 a, U32x8 b) {
     return {_mm256_cmpgt_epi32(a.v, b.v)};
   }
-  [[nodiscard]] static bool any(U32x8 a) { return _mm256_testz_si256(a.v, a.v) == 0; }
+  [[nodiscard]] EECS_SIMD_TIER256 static bool any(U32x8 a) {
+    return _mm256_testz_si256(a.v, a.v) == 0;
+  }
 };
 
 struct F32x8 {
@@ -711,85 +751,96 @@ struct F32x8 {
   using Mask = U32x8;
   __m256 v;
 
-  static F32x8 load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static F32x8 broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  static F32x8 set(float a, float b, float c, float d, float e, float f, float g, float h) {
+  EECS_SIMD_TIER256 static F32x8 load(const float* p) { return {_mm256_loadu_ps(p)}; }
+  EECS_SIMD_TIER256 static F32x8 broadcast(float x) { return {_mm256_set1_ps(x)}; }
+  EECS_SIMD_TIER256 static F32x8 set(float a, float b, float c, float d, float e, float f,
+                                     float g, float h) {
     return {_mm256_setr_ps(a, b, c, d, e, f, g, h)};
   }
-  static F32x8 gather(const float* p, const int* idx) {
+  EECS_SIMD_TIER256 static F32x8 gather(const float* p, const int* idx) {
     return {_mm256_i32gather_ps(p, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 4)};
   }
-  static F32x8 gather_stride(const float* p, std::size_t stride) {
+  EECS_SIMD_TIER256 static F32x8 gather_stride(const float* p, std::size_t stride) {
     return {_mm256_setr_ps(p[0], p[stride], p[2 * stride], p[3 * stride], p[4 * stride],
                            p[5 * stride], p[6 * stride], p[7 * stride])};
   }
-  void store(float* p) const { _mm256_storeu_ps(p, v); }
-  [[nodiscard]] float extract(int i) const {
+  EECS_SIMD_TIER256 void store(float* p) const { _mm256_storeu_ps(p, v); }
+  [[nodiscard]] EECS_SIMD_TIER256 float extract(int i) const {
     alignas(32) float tmp[8];
     _mm256_store_ps(tmp, v);
     return tmp[i];
   }
 
-  friend F32x8 operator+(F32x8 a, F32x8 b) { return {_mm256_add_ps(a.v, b.v)}; }
-  friend F32x8 operator-(F32x8 a, F32x8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
-  friend F32x8 operator*(F32x8 a, F32x8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  friend F32x8 operator/(F32x8 a, F32x8 b) { return {_mm256_div_ps(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F32x8 operator+(F32x8 a, F32x8 b) { return {_mm256_add_ps(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F32x8 operator-(F32x8 a, F32x8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F32x8 operator*(F32x8 a, F32x8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F32x8 operator/(F32x8 a, F32x8 b) { return {_mm256_div_ps(a.v, b.v)}; }
 
-  [[nodiscard]] static F32x8 sqrt(F32x8 a) { return {_mm256_sqrt_ps(a.v)}; }
-  [[nodiscard]] static F32x8 floor(F32x8 a) { return {_mm256_floor_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 sqrt(F32x8 a) { return {_mm256_sqrt_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 floor(F32x8 a) { return {_mm256_floor_ps(a.v)}; }
   // AVX vminps/vmaxps keep the SSE tie rule (return b on ties/NaN).
-  [[nodiscard]] static F32x8 min(F32x8 a, F32x8 b) { return {_mm256_min_ps(a.v, b.v)}; }
-  [[nodiscard]] static F32x8 max(F32x8 a, F32x8 b) { return {_mm256_max_ps(a.v, b.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 min(F32x8 a, F32x8 b) {
+    return {_mm256_min_ps(a.v, b.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 max(F32x8 a, F32x8 b) {
+    return {_mm256_max_ps(a.v, b.v)};
+  }
   // _CMP_*_OQ returns the same mask values as the SSE cmpgt/cmplt/cmpge
   // (signaling-ness only affects FP exception flags, never results).
-  [[nodiscard]] static Mask gt(F32x8 a, F32x8 b) {
+  [[nodiscard]] EECS_SIMD_TIER256 static Mask gt(F32x8 a, F32x8 b) {
     return {_mm256_castps_si256(_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ))};
   }
-  [[nodiscard]] static Mask lt(F32x8 a, F32x8 b) {
+  [[nodiscard]] EECS_SIMD_TIER256 static Mask lt(F32x8 a, F32x8 b) {
     return {_mm256_castps_si256(_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ))};
   }
-  [[nodiscard]] static Mask ge(F32x8 a, F32x8 b) {
+  [[nodiscard]] EECS_SIMD_TIER256 static Mask ge(F32x8 a, F32x8 b) {
     return {_mm256_castps_si256(_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ))};
   }
-  [[nodiscard]] static F32x8 abs(F32x8 a) {
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 abs(F32x8 a) {
     return {_mm256_and_ps(a.v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF)))};
   }
-  [[nodiscard]] static F32x8 select(Mask m, F32x8 a, F32x8 b) {
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 select(Mask m, F32x8 a, F32x8 b) {
     const __m256 mm = _mm256_castsi256_ps(m.v);
     return {_mm256_or_ps(_mm256_and_ps(mm, a.v), _mm256_andnot_ps(mm, b.v))};
   }
-  [[nodiscard]] static U32x8 to_bits(F32x8 a) { return {_mm256_castps_si256(a.v)}; }
-  [[nodiscard]] static F32x8 from_bits(U32x8 a) { return {_mm256_castsi256_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER256 static U32x8 to_bits(F32x8 a) {
+    return {_mm256_castps_si256(a.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 static F32x8 from_bits(U32x8 a) {
+    return {_mm256_castsi256_ps(a.v)};
+  }
 };
 
 struct F64x4 {
   static constexpr int kLanes = 4;
   __m256d v;
 
-  static F64x4 load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static F64x4 broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  static F64x4 set(double a, double b, double c, double d) {
+  EECS_SIMD_TIER256 static F64x4 load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  EECS_SIMD_TIER256 static F64x4 broadcast(double x) { return {_mm256_set1_pd(x)}; }
+  EECS_SIMD_TIER256 static F64x4 set(double a, double b, double c, double d) {
     return {_mm256_setr_pd(a, b, c, d)};
   }
-  static F64x4 gather2f(const float* p, std::size_t stride) {
+  EECS_SIMD_TIER256 static F64x4 gather2f(const float* p, std::size_t stride) {
     return {_mm256_setr_pd(static_cast<double>(p[0]), static_cast<double>(p[stride]),
                            static_cast<double>(p[2 * stride]),
                            static_cast<double>(p[3 * stride]))};
   }
-  static F64x4 load2f(const float* p) { return {_mm256_cvtps_pd(_mm_loadu_ps(p))}; }
-  [[nodiscard]] static F64x4 select_gt(F64x4 v, F64x4 t, F64x4 x, F64x4 y) {
+  EECS_SIMD_TIER256 static F64x4 load2f(const float* p) {
+    return {_mm256_cvtps_pd(_mm_loadu_ps(p))};
+  }
+  [[nodiscard]] EECS_SIMD_TIER256 static F64x4 select_gt(F64x4 v, F64x4 t, F64x4 x, F64x4 y) {
     return {_mm256_blendv_pd(y.v, x.v, _mm256_cmp_pd(v.v, t.v, _CMP_GT_OQ))};
   }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-  [[nodiscard]] double extract(int i) const {
+  EECS_SIMD_TIER256 void store(double* p) const { _mm256_storeu_pd(p, v); }
+  [[nodiscard]] EECS_SIMD_TIER256 double extract(int i) const {
     alignas(32) double tmp[4];
     _mm256_store_pd(tmp, v);
     return tmp[i];
   }
 
-  friend F64x4 operator+(F64x4 a, F64x4 b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend F64x4 operator-(F64x4 a, F64x4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend F64x4 operator*(F64x4 a, F64x4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F64x4 operator+(F64x4 a, F64x4 b) { return {_mm256_add_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F64x4 operator-(F64x4 a, F64x4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F64x4 operator*(F64x4 a, F64x4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
 };
 
 #endif  // EECS_SIMD_AVX2
@@ -800,27 +851,39 @@ struct U32x16 {
   static constexpr int kLanes = 16;
   __m512i v;
 
-  static U32x16 broadcast(std::uint32_t x) { return {_mm512_set1_epi32(static_cast<int>(x))}; }
-  [[nodiscard]] std::uint32_t extract(int i) const {
+  EECS_SIMD_TIER512 static U32x16 broadcast(std::uint32_t x) {
+    return {_mm512_set1_epi32(static_cast<int>(x))};
+  }
+  [[nodiscard]] EECS_SIMD_TIER512 std::uint32_t extract(int i) const {
     alignas(64) std::uint32_t tmp[16];
     _mm512_store_si512(tmp, v);
     return tmp[i];
   }
 
-  friend U32x16 operator&(U32x16 a, U32x16 b) { return {_mm512_and_si512(a.v, b.v)}; }
-  friend U32x16 operator|(U32x16 a, U32x16 b) { return {_mm512_or_si512(a.v, b.v)}; }
-  friend U32x16 operator^(U32x16 a, U32x16 b) { return {_mm512_xor_si512(a.v, b.v)}; }
-  friend U32x16 operator-(U32x16 a, U32x16 b) { return {_mm512_sub_epi32(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend U32x16 operator&(U32x16 a, U32x16 b) {
+    return {_mm512_and_si512(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend U32x16 operator|(U32x16 a, U32x16 b) {
+    return {_mm512_or_si512(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend U32x16 operator^(U32x16 a, U32x16 b) {
+    return {_mm512_xor_si512(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend U32x16 operator-(U32x16 a, U32x16 b) {
+    return {_mm512_sub_epi32(a.v, b.v)};
+  }
   // AVX-512 compares produce k-masks; expand back to the full-width all-ones
   // vector masks of the narrower ISAs (masks double as DATA in the census
   // and atan2 kernels, so the representation is part of the contract).
-  [[nodiscard]] static U32x16 cmpeq(U32x16 a, U32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static U32x16 cmpeq(U32x16 a, U32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmpeq_epi32_mask(a.v, b.v), -1)};
   }
-  [[nodiscard]] static U32x16 cmpgt_signed(U32x16 a, U32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static U32x16 cmpgt_signed(U32x16 a, U32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmpgt_epi32_mask(a.v, b.v), -1)};
   }
-  [[nodiscard]] static bool any(U32x16 a) { return _mm512_test_epi32_mask(a.v, a.v) != 0; }
+  [[nodiscard]] EECS_SIMD_TIER512 static bool any(U32x16 a) {
+    return _mm512_test_epi32_mask(a.v, a.v) != 0;
+  }
 };
 
 struct F32x16 {
@@ -828,92 +891,111 @@ struct F32x16 {
   using Mask = U32x16;
   __m512 v;
 
-  static F32x16 load(const float* p) { return {_mm512_loadu_ps(p)}; }
-  static F32x16 broadcast(float x) { return {_mm512_set1_ps(x)}; }
-  static F32x16 set(float a, float b, float c, float d, float e, float f, float g, float h,
-                    float i, float j, float k, float l, float m, float n, float o, float q) {
+  EECS_SIMD_TIER512 static F32x16 load(const float* p) { return {_mm512_loadu_ps(p)}; }
+  EECS_SIMD_TIER512 static F32x16 broadcast(float x) { return {_mm512_set1_ps(x)}; }
+  EECS_SIMD_TIER512 static F32x16 set(float a, float b, float c, float d, float e, float f,
+                                      float g, float h, float i, float j, float k, float l,
+                                      float m, float n, float o, float q) {
     return {_mm512_setr_ps(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, q)};
   }
-  static F32x16 gather(const float* p, const int* idx) {
+  EECS_SIMD_TIER512 static F32x16 gather(const float* p, const int* idx) {
     return {_mm512_i32gather_ps(_mm512_loadu_si512(idx), p, 4)};
   }
-  static F32x16 gather_stride(const float* p, std::size_t stride) {
+  EECS_SIMD_TIER512 static F32x16 gather_stride(const float* p, std::size_t stride) {
     alignas(64) float tmp[16];
     for (int i = 0; i < 16; ++i) tmp[i] = p[static_cast<std::size_t>(i) * stride];
     return {_mm512_load_ps(tmp)};
   }
-  void store(float* p) const { _mm512_storeu_ps(p, v); }
-  [[nodiscard]] float extract(int i) const {
+  EECS_SIMD_TIER512 void store(float* p) const { _mm512_storeu_ps(p, v); }
+  [[nodiscard]] EECS_SIMD_TIER512 float extract(int i) const {
     alignas(64) float tmp[16];
     _mm512_store_ps(tmp, v);
     return tmp[i];
   }
 
-  friend F32x16 operator+(F32x16 a, F32x16 b) { return {_mm512_add_ps(a.v, b.v)}; }
-  friend F32x16 operator-(F32x16 a, F32x16 b) { return {_mm512_sub_ps(a.v, b.v)}; }
-  friend F32x16 operator*(F32x16 a, F32x16 b) { return {_mm512_mul_ps(a.v, b.v)}; }
-  friend F32x16 operator/(F32x16 a, F32x16 b) { return {_mm512_div_ps(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend F32x16 operator+(F32x16 a, F32x16 b) {
+    return {_mm512_add_ps(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend F32x16 operator-(F32x16 a, F32x16 b) {
+    return {_mm512_sub_ps(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend F32x16 operator*(F32x16 a, F32x16 b) {
+    return {_mm512_mul_ps(a.v, b.v)};
+  }
+  EECS_SIMD_TIER512 friend F32x16 operator/(F32x16 a, F32x16 b) {
+    return {_mm512_div_ps(a.v, b.v)};
+  }
 
-  [[nodiscard]] static F32x16 sqrt(F32x16 a) { return {_mm512_sqrt_ps(a.v)}; }
-  [[nodiscard]] static F32x16 floor(F32x16 a) {
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 sqrt(F32x16 a) { return {_mm512_sqrt_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 floor(F32x16 a) {
     return {_mm512_roundscale_ps(a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
   }
   // AVX-512 vminps/vmaxps keep the SSE tie rule (return b on ties/NaN).
-  [[nodiscard]] static F32x16 min(F32x16 a, F32x16 b) { return {_mm512_min_ps(a.v, b.v)}; }
-  [[nodiscard]] static F32x16 max(F32x16 a, F32x16 b) { return {_mm512_max_ps(a.v, b.v)}; }
-  [[nodiscard]] static Mask gt(F32x16 a, F32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 min(F32x16 a, F32x16 b) {
+    return {_mm512_min_ps(a.v, b.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 max(F32x16 a, F32x16 b) {
+    return {_mm512_max_ps(a.v, b.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER512 static Mask gt(F32x16 a, F32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ), -1)};
   }
-  [[nodiscard]] static Mask lt(F32x16 a, F32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static Mask lt(F32x16 a, F32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmp_ps_mask(a.v, b.v, _CMP_LT_OQ), -1)};
   }
-  [[nodiscard]] static Mask ge(F32x16 a, F32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static Mask ge(F32x16 a, F32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ), -1)};
   }
-  [[nodiscard]] static F32x16 abs(F32x16 a) {
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 abs(F32x16 a) {
     return {_mm512_castsi512_ps(
         _mm512_and_si512(_mm512_castps_si512(a.v), _mm512_set1_epi32(0x7FFFFFFF)))};
   }
   // (m & a) | (~m & b) in one ternlog: imm 0xCA selects B where A else C.
-  [[nodiscard]] static F32x16 select(Mask m, F32x16 a, F32x16 b) {
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 select(Mask m, F32x16 a, F32x16 b) {
     return {_mm512_castsi512_ps(_mm512_ternarylogic_epi32(
         m.v, _mm512_castps_si512(a.v), _mm512_castps_si512(b.v), 0xCA))};
   }
-  [[nodiscard]] static U32x16 to_bits(F32x16 a) { return {_mm512_castps_si512(a.v)}; }
-  [[nodiscard]] static F32x16 from_bits(U32x16 a) { return {_mm512_castsi512_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER512 static U32x16 to_bits(F32x16 a) {
+    return {_mm512_castps_si512(a.v)};
+  }
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 from_bits(U32x16 a) {
+    return {_mm512_castsi512_ps(a.v)};
+  }
 };
 
 struct F64x8 {
   static constexpr int kLanes = 8;
   __m512d v;
 
-  static F64x8 load(const double* p) { return {_mm512_loadu_pd(p)}; }
-  static F64x8 broadcast(double x) { return {_mm512_set1_pd(x)}; }
-  static F64x8 set(double a, double b, double c, double d, double e, double f, double g,
-                   double h) {
+  EECS_SIMD_TIER512 static F64x8 load(const double* p) { return {_mm512_loadu_pd(p)}; }
+  EECS_SIMD_TIER512 static F64x8 broadcast(double x) { return {_mm512_set1_pd(x)}; }
+  EECS_SIMD_TIER512 static F64x8 set(double a, double b, double c, double d, double e,
+                                     double f, double g, double h) {
     return {_mm512_setr_pd(a, b, c, d, e, f, g, h)};
   }
-  static F64x8 gather2f(const float* p, std::size_t stride) {
+  EECS_SIMD_TIER512 static F64x8 gather2f(const float* p, std::size_t stride) {
     alignas(64) double tmp[8];
     for (int i = 0; i < 8; ++i) {
       tmp[i] = static_cast<double>(p[static_cast<std::size_t>(i) * stride]);
     }
     return {_mm512_load_pd(tmp)};
   }
-  static F64x8 load2f(const float* p) { return {_mm512_cvtps_pd(_mm256_loadu_ps(p))}; }
-  [[nodiscard]] static F64x8 select_gt(F64x8 v, F64x8 t, F64x8 x, F64x8 y) {
+  EECS_SIMD_TIER512 static F64x8 load2f(const float* p) {
+    return {_mm512_cvtps_pd(_mm256_loadu_ps(p))};
+  }
+  [[nodiscard]] EECS_SIMD_TIER512 static F64x8 select_gt(F64x8 v, F64x8 t, F64x8 x, F64x8 y) {
     return {_mm512_mask_blend_pd(_mm512_cmp_pd_mask(v.v, t.v, _CMP_GT_OQ), y.v, x.v)};
   }
-  void store(double* p) const { _mm512_storeu_pd(p, v); }
-  [[nodiscard]] double extract(int i) const {
+  EECS_SIMD_TIER512 void store(double* p) const { _mm512_storeu_pd(p, v); }
+  [[nodiscard]] EECS_SIMD_TIER512 double extract(int i) const {
     alignas(64) double tmp[8];
     _mm512_store_pd(tmp, v);
     return tmp[i];
   }
 
-  friend F64x8 operator+(F64x8 a, F64x8 b) { return {_mm512_add_pd(a.v, b.v)}; }
-  friend F64x8 operator-(F64x8 a, F64x8 b) { return {_mm512_sub_pd(a.v, b.v)}; }
-  friend F64x8 operator*(F64x8 a, F64x8 b) { return {_mm512_mul_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend F64x8 operator+(F64x8 a, F64x8 b) { return {_mm512_add_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend F64x8 operator-(F64x8 a, F64x8 b) { return {_mm512_sub_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend F64x8 operator*(F64x8 a, F64x8 b) { return {_mm512_mul_pd(a.v, b.v)}; }
 };
 
 #endif  // EECS_SIMD_AVX512
@@ -975,19 +1057,35 @@ struct IsaNative512 {
 };
 #endif
 
+// The trampolines into the wide tiers: compiled for the tier, with fn and
+// everything it calls in this TU inlined, so no wide pack crosses a call.
+#if defined(EECS_SIMD_AVX2)
+template <class Fn>
+[[gnu::flatten]] EECS_SIMD_TIER256 decltype(auto) run_native256(Fn& fn) {
+  return fn(IsaNative256{});
+}
+#endif
+#if defined(EECS_SIMD_AVX512)
+template <class Fn>
+[[gnu::flatten]] EECS_SIMD_TIER512 decltype(auto) run_native512(Fn& fn) {
+  return fn(IsaNative512{});
+}
+#endif
+
 /// Invoke fn with the ISA tag of the current runtime mode. Native cases not
 /// compiled into this binary are unreachable (current_dispatch() never
-/// returns them); the default keeps the switch total.
+/// returns them); the default keeps the switch total. Call it inside each
+/// parallel task, not around the parallel loop (see the header comment).
 template <class Fn>
 decltype(auto) dispatch(Fn&& fn) {
   switch (current_dispatch()) {
 #if defined(EECS_SIMD_AVX512)
     case Dispatch::kNative512:
-      return fn(IsaNative512{});
+      return run_native512(fn);
 #endif
 #if defined(EECS_SIMD_AVX2)
     case Dispatch::kNative256:
-      return fn(IsaNative256{});
+      return run_native256(fn);
 #endif
 #if defined(EECS_SIMD_SSE2) || defined(EECS_SIMD_NEON)
     case Dispatch::kNative128:
@@ -1003,9 +1101,10 @@ decltype(auto) dispatch(Fn&& fn) {
   }
 }
 
-/// Invoke fn once per ISA tag available in this binary (every emulation
-/// width plus every compiled native width), regardless of the runtime mode.
-/// Test and verification harnesses sweep kernels across widths with this.
+/// Invoke fn once per ISA tag this binary can run here (every emulation width
+/// plus every native width that is compiled in and that the CPU runs),
+/// regardless of the runtime mode. Test and verification harnesses sweep
+/// kernels across widths with this.
 template <class Fn>
 void for_each_isa(Fn&& fn) {
   fn(IsaEmul128{});
@@ -1015,10 +1114,10 @@ void for_each_isa(Fn&& fn) {
   fn(IsaNative128{});
 #endif
 #if defined(EECS_SIMD_AVX2)
-  fn(IsaNative256{});
+  if (native_available(256)) run_native256(fn);
 #endif
 #if defined(EECS_SIMD_AVX512)
-  fn(IsaNative512{});
+  if (native_available(512)) run_native512(fn);
 #endif
 }
 

@@ -113,11 +113,12 @@ HogGrid compute_hog_grid(const imaging::Image& img, const HogParams& params,
   const int img_w = img.width();
   // Cell rows are independent (each cell bins only its own pixels into its
   // own histogram), so they partition across the pool bit-identically. Within
-  // a cell the soft-assignment arithmetic is lane-blocked (see bin_cell_row).
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    common::parallel_for(
-        static_cast<std::size_t>(cells_y), 8, [&](std::size_t cy0, std::size_t cy1) {
+  // a cell the soft-assignment arithmetic is lane-blocked (see bin_cell_row);
+  // each task dispatches its own SIMD tier (common/simd.hpp).
+  common::parallel_for(
+      static_cast<std::size_t>(cells_y), 8, [&](std::size_t cy0, std::size_t cy1) {
+        simd::dispatch([&](auto isa) {
+          using F4 = typename decltype(isa)::F32;
           // Gradients are streamed one pixel row at a time through an
           // L1-resident scratch (imaging::gradient_band) instead of whole
           // magnitude/orientation planes — per-pixel values are bit-identical
@@ -155,7 +156,7 @@ HogGrid compute_hog_grid(const imaging::Image& img, const HogParams& params,
             }
           }
         });
-  });
+      });
   if (cost != nullptr) {
     // Gradient pass + binning pass over every pixel.
     cost->add_pixels(2 * img.pixel_count());

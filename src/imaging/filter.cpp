@@ -19,7 +19,8 @@ namespace {
 constexpr std::size_t kRowGrain = 48;
 
 /// Parallel loop over every (channel, row) pair of a `channels` x `height`
-/// plane set.
+/// plane set. The body runs out of line, so a kernel dispatches its SIMD tier
+/// inside it (common/simd.hpp).
 void parallel_rows(int channels, int height, const std::function<void(int, int)>& body) {
   common::parallel_for(static_cast<std::size_t>(channels) * static_cast<std::size_t>(height),
                        kRowGrain, [&](std::size_t begin, std::size_t end) {
@@ -93,24 +94,25 @@ Image separable_filter(const Image& img, std::span<const float> kernel) {
   const int h = img.height();
   Image tmp = Image::uninitialized(w, h, img.channels());
   Image out = Image::uninitialized(w, h, img.channels());
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(img.channels(), h, [&](int c, int y) {
-      const float* row =
-          img.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      float* dst = tmp.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      filter_row_horizontal<F4>(row, w, kernel, radius, dst);
+  parallel_rows(img.channels(), h, [&](int c, int y) {
+    const float* row =
+        img.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    float* dst = tmp.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    simd::dispatch([&](auto isa) {
+      filter_row_horizontal<typename decltype(isa)::F32>(row, w, kernel, radius, dst);
     });
-    parallel_rows(img.channels(), h, [&](int c, int y) {
-      const float* src = tmp.plane(c).data();
-      std::vector<const float*> rows(kernel.size());
-      for (int k = 0; k < static_cast<int>(kernel.size()); ++k) {
-        const int yy = std::clamp(y + k - radius, 0, h - 1);
-        rows[static_cast<std::size_t>(k)] =
-            src + static_cast<std::size_t>(yy) * static_cast<std::size_t>(w);
-      }
-      float* dst = out.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      filter_row_vertical<F4>(rows.data(), w, kernel, dst);
+  });
+  parallel_rows(img.channels(), h, [&](int c, int y) {
+    const float* src = tmp.plane(c).data();
+    std::vector<const float*> rows(kernel.size());
+    for (int k = 0; k < static_cast<int>(kernel.size()); ++k) {
+      const int yy = std::clamp(y + k - radius, 0, h - 1);
+      rows[static_cast<std::size_t>(k)] =
+          src + static_cast<std::size_t>(yy) * static_cast<std::size_t>(w);
+    }
+    float* dst = out.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    simd::dispatch([&](auto isa) {
+      filter_row_vertical<typename decltype(isa)::F32>(rows.data(), w, kernel, dst);
     });
   });
   return out;
@@ -227,17 +229,16 @@ Gradients compute_gradients(const Image& img) {
   const float* src = gray.plane(0).data();
   float* mag = g.magnitude.plane(0).data();
   float* ori = g.orientation.plane(0).data();
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(1, h, [&](int, int y) {
-      const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      const float* up =
-          src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
-      const float* dn =
-          src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
-      float* mrow = mag + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      float* orow = ori + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      gradient_row_fused<F4>(row, up, dn, w, mrow, orow);
+  parallel_rows(1, h, [&](int, int y) {
+    const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    const float* up =
+        src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
+    const float* dn =
+        src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
+    float* mrow = mag + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    float* orow = ori + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    simd::dispatch([&](auto isa) {
+      gradient_row_fused<typename decltype(isa)::F32>(row, up, dn, w, mrow, orow);
     });
   });
   return g;
@@ -285,20 +286,20 @@ Image resize(const Image& img, int new_width, int new_height) {
   }
   Image out = Image::uninitialized(new_width, new_height, img.channels());
   const int ylim = img.height() - 1;
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(img.channels(), new_height, [&](int c, int y) {
-      const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-      const int y0 = static_cast<int>(std::floor(fy));
-      const float wy = fy - static_cast<float>(y0);
-      const float* src = img.plane(c).data();
-      const float* r0 = src + static_cast<std::size_t>(std::clamp(y0, 0, ylim)) *
-                                  static_cast<std::size_t>(img.width());
-      const float* r1 = src + static_cast<std::size_t>(std::clamp(y0 + 1, 0, ylim)) *
-                                  static_cast<std::size_t>(img.width());
-      float* dst = out.plane(c).data() +
-                   static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
-      resize_row<F4>(r0, r1, col0.data(), col1.data(), colw.data(), new_width, wy, dst);
+  parallel_rows(img.channels(), new_height, [&](int c, int y) {
+    const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+    const int y0 = static_cast<int>(std::floor(fy));
+    const float wy = fy - static_cast<float>(y0);
+    const float* src = img.plane(c).data();
+    const float* r0 = src + static_cast<std::size_t>(std::clamp(y0, 0, ylim)) *
+                                static_cast<std::size_t>(img.width());
+    const float* r1 = src + static_cast<std::size_t>(std::clamp(y0 + 1, 0, ylim)) *
+                                static_cast<std::size_t>(img.width());
+    float* dst =
+        out.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
+    simd::dispatch([&](auto isa) {
+      resize_row<typename decltype(isa)::F32>(r0, r1, col0.data(), col1.data(), colw.data(),
+                                              new_width, wy, dst);
     });
   });
   return out;

@@ -73,16 +73,16 @@ IntegralImage::IntegralImage(const Image& img)
   // the identical sequence of double additions as the single-threaded loop.
   const std::size_t w1 = static_cast<std::size_t>(width_ + 1);
   const float* src = img.plane(0).data();
-  simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(height_), 64,
-                         [&](std::size_t y0, std::size_t y1) {
-                           prefix_rows<D2>(src, width_, w1, table_.data(), y0, y1);
-                         });
-    common::parallel_for(static_cast<std::size_t>(width_), 64,
-                         [&](std::size_t x0, std::size_t x1) {
-                           accumulate_columns<D2>(table_.data(), height_, w1, x0, x1);
-                         });
+  // Each task dispatches its own SIMD tier (common/simd.hpp).
+  common::parallel_for(static_cast<std::size_t>(height_), 64, [&](std::size_t y0, std::size_t y1) {
+    simd::dispatch([&](auto isa) {
+      prefix_rows<typename decltype(isa)::F64>(src, width_, w1, table_.data(), y0, y1);
+    });
+  });
+  common::parallel_for(static_cast<std::size_t>(width_), 64, [&](std::size_t x0, std::size_t x1) {
+    simd::dispatch([&](auto isa) {
+      accumulate_columns<typename decltype(isa)::F64>(table_.data(), height_, w1, x0, x1);
+    });
   });
 }
 

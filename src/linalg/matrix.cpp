@@ -137,10 +137,10 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
   EECS_EXPECTS(a.cols() == b.rows());
   Matrix out(a.rows(), b.cols());
   const std::size_t n = static_cast<std::size_t>(b.cols());
-  simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(a.rows()), kRowGrain,
-                         [&](std::size_t i0, std::size_t i1) {
+  common::parallel_for(static_cast<std::size_t>(a.rows()), kRowGrain,
+                       [&](std::size_t i0, std::size_t i1) {
+                         simd::dispatch([&](auto isa) {
+                           using D2 = typename decltype(isa)::F64;
                            for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
                              double* orow = out.row(i).data();
                              for (int k = 0; k < a.cols(); ++k) {
@@ -150,7 +150,7 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
                              }
                            }
                          });
-  });
+                       });
   return out;
 }
 
@@ -161,10 +161,10 @@ Matrix transpose_times(const Matrix& a, const Matrix& b) {
   // k-outer walk, so each task owns its rows; per-entry accumulation still
   // runs in increasing k, matching the serial result bit for bit.
   const std::size_t n = static_cast<std::size_t>(b.cols());
-  simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(a.cols()), kRowGrain,
-                         [&](std::size_t i0, std::size_t i1) {
+  common::parallel_for(static_cast<std::size_t>(a.cols()), kRowGrain,
+                       [&](std::size_t i0, std::size_t i1) {
+                         simd::dispatch([&](auto isa) {
+                           using D2 = typename decltype(isa)::F64;
                            for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
                              double* orow = out.row(i).data();
                              for (int k = 0; k < a.rows(); ++k) {
@@ -174,7 +174,7 @@ Matrix transpose_times(const Matrix& a, const Matrix& b) {
                              }
                            }
                          });
-  });
+                       });
   return out;
 }
 

@@ -166,7 +166,7 @@ TEST(SimdSwitch, ScopedOverrideRestoresPreviousState) {
     EXPECT_STREQ(simd::dispatch_name(), "scalar");
     {
       const simd::ScopedSimd on(1);
-      EXPECT_TRUE(simd::enabled());
+      EXPECT_EQ(simd::enabled(), simd::kNativeBackend);
       if (simd::kNativeBackend) {
         EXPECT_STREQ(simd::dispatch_name(), simd::isa_name());
       }
@@ -181,6 +181,25 @@ TEST(SimdSwitch, NegativeModeLeavesSwitchUntouched) {
   const simd::ScopedSimd noop(-1);
   EXPECT_FALSE(simd::enabled());
 }
+
+#if defined(EECS_SIMD_AVX512)
+// Where simd.hpp compiles the 8- and 16-lane runtime tiers, an explicit width
+// runs natively exactly where the CPU has the ISA.
+TEST(SimdSwitch, WideTiersRunNativeWhereTheCpuHasThem) {
+  const struct {
+    int mode;
+    bool cpu;
+    const char* name;
+  } tiers[] = {{256, __builtin_cpu_supports("avx2") != 0, "avx2"},
+               {512, __builtin_cpu_supports("avx512f") != 0, "avx512"}};
+  for (const auto& tier : tiers) {
+    SCOPED_TRACE(testing::Message() << "mode=" << tier.mode);
+    const simd::ScopedSimd scoped(tier.mode);
+    EXPECT_EQ(simd::enabled(), tier.cpu);
+    EXPECT_EQ(std::strcmp(simd::dispatch_name(), tier.name) == 0, tier.cpu);
+  }
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Kernel A/B: every ported kernel must produce bit-identical output with
