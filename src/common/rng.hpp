@@ -63,6 +63,8 @@ class Rng {
     std::array<std::uint64_t, 4> words{};
     bool have_cached_normal = false;
     double cached_normal = 0.0;
+
+    [[nodiscard]] bool operator==(const State&) const = default;
   };
   [[nodiscard]] State state() const;
   /// Resume the stream exactly where `state()` captured it: the next draw

@@ -14,23 +14,23 @@ EecsController::EecsController(const OfflineKnowledge& knowledge, reid::ReIdenti
 void EecsController::register_camera(int camera, const linalg::Matrix& features,
                                      double budget_joules) {
   const auto match = knowledge_.match(features);
-  restore_camera(camera, match.best_index, budget_joules);
+  restore_camera({camera, match.best_index, budget_joules});
 }
 
-void EecsController::restore_camera(int camera, int matched_item, double budget_joules) {
+void EecsController::restore_camera(const Registration& registration) {
   CameraState state;
-  state.matched_item = matched_item;
-  state.budget = budget_joules;
+  state.matched_item = registration.matched_item;
+  state.budget = registration.budget;
   // Rank-ordered algorithms of the matched item, filtered to the configured
   // set and the camera's budget constraint c(A) + C_j <= B_j.
-  for (const auto& profile : knowledge_.profile(matched_item).algorithms) {
+  for (const auto& profile : knowledge_.profile(registration.matched_item).algorithms) {
     const bool allowed = std::find(params_.algorithms.begin(), params_.algorithms.end(),
                                    profile.id) != params_.algorithms.end();
-    if (allowed && profile.total_joules_per_frame() <= budget_joules) {
+    if (allowed && profile.total_joules_per_frame() <= registration.budget) {
       state.affordable.push_back(profile);
     }
   }
-  cameras_[camera] = std::move(state);
+  cameras_[registration.camera] = std::move(state);
 }
 
 std::vector<EecsController::Registration> EecsController::registrations() const {

@@ -8,10 +8,10 @@
 
 #include <map>
 #include <set>
-#include <string>
 
 #include "core/offline.hpp"
 #include "reid/reid.hpp"
+#include "runtime/loop_state.hpp"
 
 namespace eecs::core {
 
@@ -47,14 +47,7 @@ struct AssessmentSample {
 /// camera -> algorithm -> sample.
 using AssessmentData = std::map<int, std::map<detect::AlgorithmId, AssessmentSample>>;
 
-struct SelectionStats {
-  double n_star = 0.0;  ///< Objects detected with all cameras at best algs.
-  double p_star = 0.0;  ///< Mean fused probability, same configuration.
-  double n_est = 0.0;   ///< Estimate for the chosen configuration.
-  double p_est = 0.0;
-  int cameras_active = 0;
-  std::string summary;  ///< Human-readable, e.g. "cam2:HOG cam0:ACF".
-};
+using runtime::SelectionStats;
 
 class EecsController {
  public:
@@ -66,19 +59,16 @@ class EecsController {
   /// affordable algorithm list.
   void register_camera(int camera, const linalg::Matrix& features, double budget_joules);
 
-  /// Checkpoint restore: re-admit a camera from its saved (matched item,
-  /// budget) pair without re-running the GFK match. The affordable list is a
-  /// pure function of (knowledge, matched_item, budget, params), so this
-  /// reproduces register_camera()'s state bit-exactly.
-  void restore_camera(int camera, int matched_item, double budget_joules);
+  using Registration = runtime::Registration;
 
-  /// Checkpoint view of the registration state: one (camera, matched item,
-  /// budget) triple per registered camera, in camera order.
-  struct Registration {
-    int camera = 0;
-    int matched_item = -1;
-    double budget = 0.0;
-  };
+  /// Checkpoint restore: re-admit a camera from its saved registration
+  /// without re-running the GFK match. The affordable list is a pure
+  /// function of (knowledge, matched_item, budget, params), so this
+  /// reproduces register_camera()'s state bit-exactly.
+  void restore_camera(const Registration& registration);
+
+  /// Checkpoint view of the registration state: one registration per
+  /// registered camera, in camera order.
   [[nodiscard]] std::vector<Registration> registrations() const;
 
   /// Matched training item index for a camera (-1 if not registered).

@@ -27,6 +27,9 @@ namespace eecs::core {
 
 namespace {
 
+using runtime::CameraNode;
+using runtime::for_each_fault_field;
+
 /// Record an instant ('i') trace event; compiled out under EECS_OBS_OFF.
 void trace_instant(const char* name, const char* cat, double sim_time,
                    std::initializer_list<std::pair<const char*, double>> args = {}) {
@@ -40,55 +43,6 @@ void trace_instant(const char* name, const char* cat, double sim_time,
     for (const auto& [key, value] : args) event.num_args.emplace_back(key, value);
     obs::current().tracer().record(std::move(event));
   }
-}
-
-/// The FaultCounters field list: each field's registry counter and member,
-/// in the order of a snapshot's "counters" section.
-template <typename Fn>
-void for_each_fault_field(Fn&& fn) {
-  fn("net.messages.sent", &FaultCounters::messages_sent);
-  fn("net.messages.lost", &FaultCounters::messages_lost);
-  fn("protocol.assignments.retried", &FaultCounters::assignments_retried);
-  fn("protocol.assignments.abandoned", &FaultCounters::assignments_abandoned);
-  fn("protocol.registrations.lost", &FaultCounters::registrations_lost);
-  fn("protocol.decode_errors", &FaultCounters::decode_errors);
-  fn("liveness.cameras.failed", &FaultCounters::cameras_failed);
-  fn("liveness.cameras.recovered", &FaultCounters::cameras_recovered);
-  fn("liveness.midround_reselections", &FaultCounters::midround_reselections);
-  fn("battery.frames_skipped", &FaultCounters::frames_skipped_exhausted);
-  fn("protocol.assignments.pushed", &FaultCounters::assignments_pushed);
-  fn("protocol.assignments.acked", &FaultCounters::assignments_acked);
-  fn("protocol.acks.late", &FaultCounters::acks_late);
-  fn("protocol.assignments.dropped", &FaultCounters::assignments_dropped);
-  fn("protocol.assignments.replaced", &FaultCounters::assignments_replaced);
-  fn("protocol.assignments.pending_at_exit", &FaultCounters::assignments_pending_at_exit);
-  fn("runtime.deadline.misses", &FaultCounters::deadline_misses);
-  fn("runtime.degradation.stepdowns", &FaultCounters::degradation_stepdowns);
-  fn("runtime.degradation.stepups", &FaultCounters::degradation_stepups);
-  fn("battery.frames_parked", &FaultCounters::frames_parked);
-}
-
-std::vector<std::int64_t> pack_fault_counters(const FaultCounters& f) {
-  std::vector<std::int64_t> out;
-  for_each_fault_field([&](const char*, auto member) { out.push_back(f.*member); });
-  return out;
-}
-
-FaultCounters unpack_fault_counters(const std::vector<std::int64_t>& v) {
-  if (v.size() != pack_fault_counters({}).size()) {
-    throw runtime::SnapshotError("resume: snapshot fault counters disagree with this build's");
-  }
-  FaultCounters f;
-  auto next = v.begin();
-  for_each_fault_field([&](const char*, auto member) {
-    using Field = std::remove_reference_t<decltype(f.*member)>;
-    f.*member = static_cast<Field>(*next++);
-  });
-  return f;
-}
-
-void add_fault_counters(FaultCounters& dst, const FaultCounters& src) {
-  for_each_fault_field([&](const char*, auto member) { dst.*member += src.*member; });
 }
 
 // Canonical text of a config field's value for the config record: %.17g
@@ -137,7 +91,7 @@ struct SimTelemetry {
         controller_s(metrics.gauge("stage.controller_s", obs::Determinism::WallClock)),
         net_s(metrics.gauge("stage.net_s", obs::Determinism::WallClock)) {
     for_each_fault_field(
-        [&](const char* metric, auto) { fault_counters_.push_back(&metrics.counter(metric)); });
+        [&](const char* metric, auto) { fault_metrics_.push_back(&metrics.counter(metric)); });
     base_gauges_ = {render_s.value(), detect_s.value(), features_s.value(),
                     controller_s.value(), net_s.value()};
   }
@@ -147,7 +101,7 @@ struct SimTelemetry {
   void finalize(const FaultCounters& faults, SimulationResult& result) {
     std::size_t i = 0;
     for_each_fault_field([&](const char*, auto member) {
-      fault_counters_[i++]->inc(static_cast<std::uint64_t>(faults.*member));
+      fault_metrics_[i++]->inc(static_cast<std::uint64_t>(faults.*member));
     });
     result.faults = faults;
     result.timings.render_s = render_s.value() - base_gauges_[0];
@@ -172,7 +126,7 @@ struct SimTelemetry {
   obs::Gauge& net_s;
 
  private:
-  std::vector<obs::Counter*> fault_counters_;  ///< In for_each_fault_field order.
+  std::vector<obs::Counter*> fault_metrics_;  ///< In for_each_fault_field order.
   std::array<double, 5> base_gauges_{};
 };
 
@@ -471,7 +425,7 @@ class FrameRunner {
   /// the joules and battery residuals from the book.
   SimulationResult finish(const FaultCounters& carried = {}) {
     st_.finalize(faults_, result_);
-    add_fault_counters(result_.faults, carried);
+    result_.faults += carried;
     result_.cpu_joules = ledger_.cpu_total();
     result_.radio_joules = ledger_.radio_total();
     result_.battery_residual = ledger_.residuals();
@@ -495,17 +449,6 @@ class FrameRunner {
   /// skip the gauge.
   std::vector<obs::Gauge*> cpu_gauges_;
   std::vector<obs::Gauge*> residual_gauges_;
-};
-
-/// What the camera device itself knows. Assignments are applied only when the
-/// controller's message is actually delivered; the last-known-good one
-/// survives lost updates and crash/reboot cycles (kept in flash).
-struct CameraNode {
-  bool has_assignment = false;
-  bool active = false;
-  detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-  double threshold = 0.0;
-  std::uint32_t applied_sequence = 0;
 };
 
 /// The closed EECS loop (§IV-B, §VI-E): registration, then recalibration
@@ -1332,45 +1275,18 @@ runtime::SimulationCheckpoint RoundEngine::capture_checkpoint() const {
   ck.gt_frames_processed = result_.gt_frames_processed;
   ck.windows_evaluated = result_.windows_evaluated;
   ck.windows_pruned = result_.windows_pruned;
-  ck.rounds.reserve(result_.rounds.size());
-  for (const RoundLog& round : result_.rounds) {
-    runtime::SimulationCheckpoint::RoundLogState entry;
-    entry.start_frame = round.start_frame;
-    entry.n_star = round.stats.n_star;
-    entry.p_star = round.stats.p_star;
-    entry.n_est = round.stats.n_est;
-    entry.p_est = round.stats.p_est;
-    entry.cameras_active = round.stats.cameras_active;
-    entry.summary = round.stats.summary;
-    entry.midround_recovery = round.midround_recovery ? 1 : 0;
-    ck.rounds.push_back(std::move(entry));
-  }
+  ck.rounds = result_.rounds;
   // A resumed run's own counts start at zero; the snapshot carries the whole
   // run's, so a later resume from it adds back every earlier segment too.
-  FaultCounters faults = faults_;
-  add_fault_counters(faults, resumed_faults_);
-  ck.fault_counters = pack_fault_counters(faults);
-  ck.cameras.reserve(cameras_.size());
-  for (int c = 0; c < num_cameras_; ++c) {
-    const CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
-    runtime::SimulationCheckpoint::CameraState state;
-    state.has_assignment = cam.has_assignment ? 1 : 0;
-    state.active = cam.active ? 1 : 0;
-    state.algorithm = static_cast<std::int32_t>(cam.algorithm);
-    state.threshold = cam.threshold;
-    state.applied_sequence = cam.applied_sequence;
-    state.deadline_strikes = watchdog_.strikes(c);
-    state.ladder = ladder_.state()[static_cast<std::size_t>(c)];
-    ck.cameras.push_back(state);
-  }
-  for (const auto& reg : controller_.registrations()) {
-    ck.registrations.push_back({reg.camera, reg.matched_item, reg.budget});
-  }
+  ck.faults = faults_;
+  ck.faults += resumed_faults_;
+  ck.cameras = cameras_;
+  ck.deadline_strikes = watchdog_.state();
+  ck.ladder = ladder_.state();
+  ck.registrations = controller_.registrations();
   ck.liveness = liveness_.state();
   ck.controller_active.assign(controller_active_.begin(), controller_active_.end());
-  for (const auto& [camera, entry] : retry_queue_.entries()) {
-    ck.pending.push_back({camera, entry});
-  }
+  ck.pending.assign(retry_queue_.entries().begin(), retry_queue_.entries().end());
   ck.next_sequence = next_sequence_;
   ck.network = network_.export_state();
   ck.ledger = ledger_.export_state();
@@ -1389,49 +1305,28 @@ void RoundEngine::resume() {
   // replaying the advances restores its RNG stream exactly.
   sim_.skip(ck.frame_index);
   network_.import_state(ck.network);
-  for (const auto& reg : ck.registrations) {
-    controller_.restore_camera(reg.camera, reg.matched_item, reg.budget);
+  // A matched item indexes this run's knowledge base, which decode cannot see.
+  const auto items = static_cast<int>(knowledge_.profiles().size());
+  for (const runtime::Registration& reg : ck.registrations) {
+    if (reg.matched_item < 0 || reg.matched_item >= items) {
+      throw runtime::SnapshotError("resume: registration names an unknown training item");
+    }
+    controller_.restore_camera(reg);
   }
-  std::vector<int> strikes(static_cast<std::size_t>(num_cameras_), 0);
-  std::vector<runtime::DegradationLadder::CameraState> ladder_state(
-      static_cast<std::size_t>(num_cameras_));
-  for (int c = 0; c < num_cameras_; ++c) {
-    const auto& state = ck.cameras[static_cast<std::size_t>(c)];
-    CameraNode& cam = cameras_[static_cast<std::size_t>(c)];
-    cam.has_assignment = state.has_assignment != 0;
-    cam.active = state.active != 0;
-    cam.algorithm = static_cast<detect::AlgorithmId>(state.algorithm);
-    cam.threshold = state.threshold;
-    cam.applied_sequence = state.applied_sequence;
-    strikes[static_cast<std::size_t>(c)] = state.deadline_strikes;
-    ladder_state[static_cast<std::size_t>(c)] = state.ladder;
-  }
-  watchdog_.restore(strikes);
-  ladder_.restore(ladder_state);
+  cameras_ = ck.cameras;
+  watchdog_.restore(ck.deadline_strikes);
+  ladder_.restore(ck.ladder);
   liveness_.restore(ck.liveness);
   controller_active_ = std::set<int>(ck.controller_active.begin(), ck.controller_active.end());
-  std::map<int, runtime::AssignmentRetryQueue::Entry> pending_entries;
-  for (const auto& p : ck.pending) pending_entries[p.camera] = p.entry;
-  retry_queue_.restore(std::move(pending_entries));
+  retry_queue_.restore({ck.pending.begin(), ck.pending.end()});
   next_sequence_ = ck.next_sequence;
   result_.humans_detected = ck.humans_detected;
   result_.humans_present = ck.humans_present;
   result_.gt_frames_processed = ck.gt_frames_processed;
   result_.windows_evaluated = ck.windows_evaluated;
   result_.windows_pruned = ck.windows_pruned;
-  for (const auto& entry : ck.rounds) {
-    RoundLog round;
-    round.start_frame = entry.start_frame;
-    round.stats.n_star = entry.n_star;
-    round.stats.p_star = entry.p_star;
-    round.stats.n_est = entry.n_est;
-    round.stats.p_est = entry.p_est;
-    round.stats.cameras_active = entry.cameras_active;
-    round.stats.summary = entry.summary;
-    round.midround_recovery = entry.midround_recovery != 0;
-    result_.rounds.push_back(std::move(round));
-  }
-  resumed_faults_ = unpack_fault_counters(ck.fault_counters);
+  result_.rounds = ck.rounds;
+  resumed_faults_ = ck.faults;
   rounds_completed_ = ck.rounds_completed;
   // Restore the energy book and anomaly windows captured with the snapshot,
   // so the resumed run's joules, residuals and ledger cover the whole run

@@ -26,6 +26,7 @@
 #include "obs/anomaly.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/degradation.hpp"
+#include "runtime/loop_state.hpp"
 
 namespace eecs::core {
 
@@ -229,47 +230,8 @@ inline constexpr const char* kExecutionOnlyConfigFields[] = {
 /// resolves it, since EECS_CONTEXT_GATE changes results too.
 [[nodiscard]] runtime::ConfigRecord config_record(const EecsSimulationConfig& config);
 
-struct RoundLog {
-  int start_frame = 0;
-  SelectionStats stats;
-  /// True when this entry is a mid-round re-selection around a dead camera
-  /// rather than a scheduled recalibration.
-  bool midround_recovery = false;
-};
-
-/// Robustness counters surfaced by the runners. A run counts them itself and,
-/// at its end, publishes each field to its named counter in the current
-/// telemetry session (`net.messages.sent`, `liveness.cameras.failed`, ...),
-/// so the registry holds the same values.
-struct FaultCounters {
-  long messages_sent = 0;      ///< Protocol messages offered to the network.
-  long messages_lost = 0;      ///< ... that the network failed to deliver.
-  long assignments_retried = 0;
-  long assignments_abandoned = 0;  ///< Retry budget exhausted; the camera
-                                   ///< keeps its last-known-good assignment.
-  long registrations_lost = 0;     ///< Feature uploads never delivered.
-  long decode_errors = 0;          ///< Malformed payloads rejected on receipt.
-  int cameras_failed = 0;          ///< Declared dead by the liveness tracker.
-  int cameras_recovered = 0;       ///< Heard from again after being presumed dead.
-  int midround_reselections = 0;
-  long frames_skipped_exhausted = 0;  ///< Camera-frames skipped on empty battery.
-
-  // Durable-runtime accounting. Every pushed assignment ends in exactly one
-  // of {acked, abandoned, dropped, replaced} or is still pending at exit:
-  //   pushed == acked + abandoned + dropped + replaced + pending_at_exit
-  // (the chaos harness asserts this "no lost-forever assignments" identity).
-  long assignments_pushed = 0;
-  long assignments_acked = 0;
-  long acks_late = 0;             ///< Ack arrived after the entry was closed;
-                                  ///< counted here, never re-applied.
-  long assignments_dropped = 0;   ///< Camera presumed dead; retries stopped.
-  long assignments_replaced = 0;  ///< Superseded by a newer push while unacked.
-  long assignments_pending_at_exit = 0;
-  long deadline_misses = 0;          ///< Round-watchdog misses (per camera-round).
-  long degradation_stepdowns = 0;    ///< Ladder transitions to a deeper rung.
-  long degradation_stepups = 0;      ///< Recovery transitions back up.
-  long frames_parked = 0;            ///< Camera-frames spent at the Parked rung.
-};
+using runtime::FaultCounters;
+using runtime::RoundLog;
 
 /// Wall-clock seconds per pipeline stage, for bench observability only.
 /// Excluded from determinism comparisons: every other SimulationResult field

@@ -91,7 +91,7 @@ std::vector<Network::Delivery> Network::advance_to(double until_time) {
   while (!queue_.empty() && queue_.top().time <= until_time) {
     // priority_queue::top is const; copy is unavoidable without const_cast,
     // and payloads here are small.
-    PendingDelivery pending = queue_.top();
+    QueuedMessage pending = queue_.top();
     queue_.pop();
     if (faults_.node_down(pending.to_node, pending.time)) {
       ++rx_dropped_;
@@ -116,8 +116,7 @@ Network::State Network::export_state() const {
   auto queue_copy = queue_;
   state.queue.reserve(queue_copy.size());
   while (!queue_copy.empty()) {
-    const PendingDelivery& p = queue_copy.top();
-    state.queue.push_back({p.time, p.sequence, p.from_node, p.to_node, p.payload});
+    state.queue.push_back(queue_copy.top());
     queue_copy.pop();
   }
   return state;
@@ -129,9 +128,7 @@ void Network::import_state(State state) {
   rx_dropped_ = state.rx_dropped;
   rng_.restore(state.rng);
   queue_ = {};
-  for (QueuedMessage& m : state.queue) {
-    queue_.push({m.time, m.sequence, m.from_node, m.to_node, std::move(m.payload)});
-  }
+  for (QueuedMessage& m : state.queue) queue_.push(std::move(m));
 }
 
 }  // namespace eecs::net

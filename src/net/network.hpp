@@ -94,14 +94,16 @@ class Network {
   /// Messages dropped at the receiver because it was crashed at delivery time.
   [[nodiscard]] std::uint64_t rx_dropped() const { return rx_dropped_; }
 
-  /// A message accepted for delivery but not yet delivered (checkpoint view
-  /// of the event queue).
+  /// A message accepted for delivery but not yet delivered: an entry of the
+  /// event queue.
   struct QueuedMessage {
     double time = 0.0;
-    std::uint64_t sequence = 0;
+    std::uint64_t sequence = 0;  ///< FIFO tie-break.
     int from_node = 0;
     int to_node = 0;
     std::vector<std::uint8_t> payload;
+
+    [[nodiscard]] bool operator==(const QueuedMessage&) const = default;
   };
 
   /// Full dynamic state for checkpoint/restore: clock, send sequence, RNG
@@ -114,6 +116,8 @@ class Network {
     std::uint64_t rx_dropped = 0;
     Rng::State rng;
     std::vector<QueuedMessage> queue;
+
+    [[nodiscard]] bool operator==(const State&) const = default;
   };
   [[nodiscard]] State export_state() const;
   /// Restores export_state()'s capture into a network built with the same
@@ -123,15 +127,8 @@ class Network {
   void import_state(State state);
 
  private:
-  struct PendingDelivery {
-    double time;
-    std::uint64_t sequence;  ///< FIFO tie-break.
-    int from_node;
-    int to_node;
-    std::vector<std::uint8_t> payload;
-  };
   struct Later {
-    bool operator()(const PendingDelivery& a, const PendingDelivery& b) const {
+    bool operator()(const QueuedMessage& a, const QueuedMessage& b) const {
       return a.time != b.time ? a.time > b.time : a.sequence > b.sequence;
     }
   };
@@ -156,7 +153,7 @@ class Network {
   Rng rng_;
   FaultPlan faults_;
   std::vector<LinkQuality> links_;
-  std::priority_queue<PendingDelivery, std::vector<PendingDelivery>, Later> queue_;
+  std::priority_queue<QueuedMessage, std::vector<QueuedMessage>, Later> queue_;
   double now_ = 0.0;
   std::uint64_t sequence_ = 0;
   std::uint64_t rx_dropped_ = 0;

@@ -16,27 +16,26 @@ const char* to_string(Anomaly::Kind kind) {
 }
 
 AnomalyDetector::AnomalyDetector(const AnomalyOptions& options, int num_cameras)
-    : options_(options),
-      num_cameras_(num_cameras),
-      last_flags_(static_cast<std::size_t>(num_cameras), 0) {
+    : options_(options), num_cameras_(num_cameras) {
   EECS_EXPECTS(num_cameras >= 0);
   EECS_EXPECTS(options.window_rounds > 0);
   EECS_EXPECTS(options.latency_miss_rounds >= 0);
+  state_.last_flags.assign(static_cast<std::size_t>(num_cameras), 0);
 }
 
 bool AnomalyDetector::flagged(int camera) const {
-  if (camera < 0 || camera >= static_cast<int>(last_flags_.size())) return false;
-  return last_flags_[static_cast<std::size_t>(camera)] != 0;
+  if (camera < 0 || camera >= static_cast<int>(state_.last_flags.size())) return false;
+  return state_.last_flags[static_cast<std::size_t>(camera)] != 0;
 }
 
 std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
   std::vector<Anomaly> findings;
   if (!options_.enabled) return findings;
   EECS_EXPECTS(static_cast<int>(obs.camera_joules.size()) == num_cameras_);
-  std::fill(last_flags_.begin(), last_flags_.end(), std::uint8_t{0});
+  std::fill(state_.last_flags.begin(), state_.last_flags.end(), std::uint8_t{0});
 
   const auto window = static_cast<std::size_t>(options_.window_rounds);
-  const std::size_t filled = window_sent_.size();
+  const std::size_t filled = state_.window_sent.size();
 
   // Burn rate: compare this round's per-camera energy against the rolling
   // mean of the existing window. Cross-multiplied to avoid a division:
@@ -47,8 +46,8 @@ std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
     for (int c = 0; c < num_cameras_; ++c) {
       double sum = 0.0;
       for (std::size_t r = 0; r < filled; ++r) {
-        sum += window_joules_[r * static_cast<std::size_t>(num_cameras_) +
-                              static_cast<std::size_t>(c)];
+        sum += state_.window_joules[r * static_cast<std::size_t>(num_cameras_) +
+                                    static_cast<std::size_t>(c)];
       }
       const double joules = obs.camera_joules[static_cast<std::size_t>(c)];
       if (sum > 0.0 &&
@@ -57,34 +56,34 @@ std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
         findings.push_back({Anomaly::Kind::BurnRate, c, obs.round, joules,
                             static_cast<double>(options_.burn_rate_milli) / 1000.0 * sum /
                                 static_cast<double>(filled)});
-        last_flags_[static_cast<std::size_t>(c)] = 1;
+        state_.last_flags[static_cast<std::size_t>(c)] = 1;
       }
     }
   }
 
   // Fold this round in before the window-wide rules so a single catastrophic
   // round can flag immediately rather than one round late.
-  window_sent_.push_back(obs.messages_sent);
-  window_lost_.push_back(obs.messages_lost);
-  window_misses_.push_back(obs.deadline_misses);
-  window_joules_.insert(window_joules_.end(), obs.camera_joules.begin(),
-                        obs.camera_joules.end());
-  if (window_sent_.size() > window) {
-    window_sent_.erase(window_sent_.begin());
-    window_lost_.erase(window_lost_.begin());
-    window_misses_.erase(window_misses_.begin());
-    window_joules_.erase(window_joules_.begin(),
-                         window_joules_.begin() + num_cameras_);
+  state_.window_sent.push_back(obs.messages_sent);
+  state_.window_lost.push_back(obs.messages_lost);
+  state_.window_misses.push_back(obs.deadline_misses);
+  state_.window_joules.insert(state_.window_joules.end(), obs.camera_joules.begin(),
+                              obs.camera_joules.end());
+  if (state_.window_sent.size() > window) {
+    state_.window_sent.erase(state_.window_sent.begin());
+    state_.window_lost.erase(state_.window_lost.begin());
+    state_.window_misses.erase(state_.window_misses.begin());
+    state_.window_joules.erase(state_.window_joules.begin(),
+                               state_.window_joules.begin() + num_cameras_);
   }
-  ++rounds_seen_;
+  ++state_.rounds_seen;
 
   // Loss rate over the window: lost * 1000 > loss_rate_milli * sent, pure
   // integer arithmetic (u64 counters stay far below the overflow point).
   std::uint64_t sent = 0;
   std::uint64_t lost = 0;
-  for (std::size_t r = 0; r < window_sent_.size(); ++r) {
-    sent += window_sent_[r];
-    lost += window_lost_[r];
+  for (std::size_t r = 0; r < state_.window_sent.size(); ++r) {
+    sent += state_.window_sent[r];
+    lost += state_.window_lost[r];
   }
   if (sent >= options_.loss_min_messages &&
       lost * 1000 > static_cast<std::uint64_t>(options_.loss_rate_milli) * sent) {
@@ -95,7 +94,7 @@ std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
 
   // Latency: deadline misses accumulated over the window (integer count).
   std::uint64_t misses = 0;
-  for (const std::uint32_t m : window_misses_) misses += m;
+  for (const std::uint32_t m : state_.window_misses) misses += m;
   if (misses >= static_cast<std::uint64_t>(options_.latency_miss_rounds)) {
     findings.push_back({Anomaly::Kind::Latency, -1, obs.round,
                         static_cast<double>(misses),
@@ -105,24 +104,14 @@ std::vector<Anomaly> AnomalyDetector::observe(const RoundObservation& obs) {
   return findings;
 }
 
-AnomalyDetector::State AnomalyDetector::export_state() const {
-  State state;
-  state.window_sent = window_sent_;
-  state.window_lost = window_lost_;
-  state.window_misses = window_misses_;
-  state.window_joules = window_joules_;
-  state.last_flags = last_flags_;
-  state.rounds_seen = rounds_seen_;
-  return state;
-}
-
 void AnomalyDetector::import_state(const State& state) {
-  window_sent_ = state.window_sent;
-  window_lost_ = state.window_lost;
-  window_misses_ = state.window_misses;
-  window_joules_ = state.window_joules;
-  if (state.last_flags.size() == last_flags_.size()) last_flags_ = state.last_flags;
-  rounds_seen_ = state.rounds_seen;
+  const std::size_t rounds = state.window_sent.size();
+  const auto cameras = static_cast<std::size_t>(num_cameras_);
+  EECS_EXPECTS(rounds <= static_cast<std::size_t>(options_.window_rounds));
+  EECS_EXPECTS(state.window_lost.size() == rounds && state.window_misses.size() == rounds);
+  EECS_EXPECTS(state.window_joules.size() == rounds * cameras);
+  EECS_EXPECTS(state.last_flags.size() == cameras);
+  state_ = state;
 }
 
 }  // namespace eecs::obs

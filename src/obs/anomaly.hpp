@@ -73,28 +73,28 @@ class AnomalyDetector {
   [[nodiscard]] bool flagged(int camera) const;
 
   /// Checkpointable rolling-window state, serialized by runtime/checkpoint
-  /// so resumed runs replay identical findings.
+  /// so resumed runs replay identical findings. The windows are parallel
+  /// per-round FIFOs, oldest first, at most window_rounds long.
   struct State {
     std::vector<std::uint64_t> window_sent;
     std::vector<std::uint64_t> window_lost;
     std::vector<std::uint32_t> window_misses;
-    std::vector<double> window_joules;  ///< num_cameras doubles per round.
+    std::vector<double> window_joules;  ///< Flattened [round][camera].
     std::vector<std::uint8_t> last_flags;  ///< Per-camera advisory flags.
     std::int64_t rounds_seen = 0;
+
+    [[nodiscard]] bool operator==(const State&) const = default;
   };
-  [[nodiscard]] State export_state() const;
+  [[nodiscard]] const State& export_state() const { return state_; }
+  /// `state` must be shaped like this detector's: windows of one length, at
+  /// most window_rounds, with num_cameras joules per round and one flag per
+  /// camera.
   void import_state(const State& state);
 
  private:
   AnomalyOptions options_;
   int num_cameras_;
-  // Parallel per-round FIFO windows, oldest first, at most window_rounds long.
-  std::vector<std::uint64_t> window_sent_;
-  std::vector<std::uint64_t> window_lost_;
-  std::vector<std::uint32_t> window_misses_;
-  std::vector<double> window_joules_;  ///< Flattened [round][camera].
-  std::vector<std::uint8_t> last_flags_;
-  std::int64_t rounds_seen_ = 0;
+  State state_;
 };
 
 }  // namespace eecs::obs

@@ -89,6 +89,8 @@ struct LedgerEntry {
   double joules = 0.0;       ///< Plain double sum (display; entry-local order).
   std::uint64_t debits = 0;  ///< Number of debit calls folded in.
   ExactJoules exact;         ///< Order-independent exact sum.
+
+  [[nodiscard]] bool operator==(const LedgerEntry&) const = default;
 };
 
 class EnergyLedger {
@@ -146,6 +148,8 @@ class EnergyLedger {
     std::vector<double> camera_joules;
     std::vector<double> residual;
     std::vector<std::pair<LedgerKey, LedgerEntry>> entries;
+
+    [[nodiscard]] bool operator==(const State&) const = default;
   };
   [[nodiscard]] State export_state() const;
   /// Restore an armed book: `state` must hold one entry per camera, and each

@@ -24,29 +24,27 @@ using Of = std::type_identity<T>;
 constexpr auto fields(Of<ConfigField>) {
   return std::tuple{&ConfigField::name, &ConfigField::value};
 }
-constexpr auto fields(Of<Ck::RoundLogState>) {
-  using S = Ck::RoundLogState;
-  return std::tuple{&S::start_frame, &S::n_star,         &S::p_star,  &S::n_est,
-                    &S::p_est,       &S::cameras_active, &S::summary, &S::midround_recovery};
+constexpr auto fields(Of<RoundLog>) {
+  return std::tuple{&RoundLog::start_frame, &RoundLog::stats, &RoundLog::midround_recovery};
 }
-constexpr auto fields(Of<Ck::CameraState>) {
-  using S = Ck::CameraState;
-  return std::tuple{&S::has_assignment,   &S::active,           &S::algorithm, &S::threshold,
-                    &S::applied_sequence, &S::deadline_strikes, &S::ladder};
+constexpr auto fields(Of<SelectionStats>) {
+  using S = SelectionStats;
+  return std::tuple{&S::n_star, &S::p_star, &S::n_est, &S::p_est, &S::cameras_active, &S::summary};
+}
+constexpr auto fields(Of<CameraNode>) {
+  using S = CameraNode;
+  return std::tuple{&S::has_assignment, &S::active, &S::algorithm, &S::threshold,
+                    &S::applied_sequence};
 }
 constexpr auto fields(Of<DegradationLadder::CameraState>) {
   using S = DegradationLadder::CameraState;
   return std::tuple{&S::battery_floor, &S::stress_rung, &S::clean_rounds};
 }
-constexpr auto fields(Of<Ck::Registration>) {
-  return std::tuple{&Ck::Registration::camera, &Ck::Registration::matched_item,
-                    &Ck::Registration::budget};
+constexpr auto fields(Of<Registration>) {
+  return std::tuple{&Registration::camera, &Registration::matched_item, &Registration::budget};
 }
 constexpr auto fields(Of<LivenessTracker::State>) {
   return std::tuple{&LivenessTracker::State::last_heard, &LivenessTracker::State::presumed_alive};
-}
-constexpr auto fields(Of<Ck::PendingEntry>) {
-  return std::tuple{&Ck::PendingEntry::camera, &Ck::PendingEntry::entry};
 }
 constexpr auto fields(Of<AssignmentRetryQueue::Entry>) {
   using S = AssignmentRetryQueue::Entry;
@@ -94,8 +92,8 @@ void for_each_section(Fn&& fn) {
      &Ck::humans_present, &Ck::gt_frames_processed);
   fn("context_gate", &Ck::windows_evaluated, &Ck::windows_pruned);
   fn("rounds", &Ck::rounds);
-  fn("counters", &Ck::fault_counters);
-  fn("cameras", &Ck::cameras);
+  fn("counters", &Ck::faults);
+  fn("cameras", &Ck::cameras, &Ck::deadline_strikes, &Ck::ladder);
   fn("registrations", &Ck::registrations);
   fn("liveness", &Ck::liveness, &Ck::controller_active);
   fn("pending", &Ck::next_sequence, &Ck::pending);
@@ -106,8 +104,9 @@ void for_each_section(Fn&& fn) {
 
 // The wire format: integers (bool and enums included) little-endian at their
 // own width, doubles as IEEE bits, strings and vectors behind a u32 count,
-// fixed-size arrays and pairs element by element, structs field by field.
-// `io` is a Writer (T const) or a Reader.
+// fixed-size arrays and pairs element by element, structs field by field
+// (FaultCounters in for_each_fault_field order). `io` is a Writer (T const)
+// or a Reader.
 template <typename Io, typename T>
 void transfer(Io& io, T& v) {
   using U = std::remove_const_t<T>;
@@ -123,6 +122,8 @@ void transfer(Io& io, T& v) {
   } else if constexpr (requires(U& u) { u.second; }) {
     transfer(io, v.first);
     transfer(io, v.second);
+  } else if constexpr (std::is_same_v<U, FaultCounters>) {
+    for_each_fault_field([&](const char*, auto member) { transfer(io, v.*member); });
   } else {
     std::apply([&](auto... member) { (transfer(io, v.*member), ...); }, fields(Of<U>{}));
   }
@@ -198,43 +199,56 @@ std::vector<std::uint8_t> SimulationCheckpoint::encode() const {
 }
 
 SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> bytes) {
-  try {
-    const SnapshotReader snapshot(bytes);
-    // Another version's sections may encode differently, and an older one
-    // cannot show that its config matches this build's record.
-    require(snapshot.version() == kSnapshotVersion, "snapshot version is not this build's");
-    SimulationCheckpoint ck;
-    for_each_section([&](const char* name, auto... members) {
-      ByteReader in = snapshot.open(name);
-      Reader reader{in};
+  const SnapshotReader snapshot(bytes);
+  // Another version's sections may encode differently, and an older one
+  // cannot show that its config matches this build's record.
+  require(snapshot.version() == kSnapshotVersion, "snapshot version is not this build's");
+  SimulationCheckpoint ck;
+  for_each_section([&](const char* name, auto... members) {
+    ByteReader in = snapshot.open(name);
+    Reader reader{in};
+    try {
       (transfer(reader, ck.*members), ...);
-    });
+    } catch (const ByteReader::DecodeError& e) {
+      throw SnapshotError(std::string("checkpoint: section '") + name +
+                          "' is malformed: " + e.what());
+    }
+    if (in.remaining() != 0) {
+      throw SnapshotError(std::string("checkpoint: section '") + name +
+                          "' has bytes past its fields");
+    }
+  });
 
-    const std::int32_t num_cameras = ck.num_cameras;
-    require(num_cameras >= 0 && num_cameras <= 4096, "implausible camera count");
-    const auto cameras = static_cast<std::size_t>(num_cameras);
-    require(ck.cameras.size() == cameras, "camera state count disagrees with config");
-    for (const CameraState& cam : ck.cameras) {
-      require(cam.algorithm >= 0 && cam.algorithm < detect::kNumAlgorithms,
-              "camera algorithm id out of range");
-    }
-    for (const Registration& reg : ck.registrations) {
-      require(reg.camera >= 0 && reg.camera < num_cameras,
-              "registration references unknown camera");
-    }
-    require(ck.liveness.last_heard.size() == cameras &&
-                ck.liveness.presumed_alive.size() == cameras,
-            "liveness arrays disagree with camera count");
-    for (const PendingEntry& p : ck.pending) {
-      require(p.camera >= 0 && p.camera < num_cameras,
-              "pending assignment references unknown camera");
-    }
-    require(ck.ledger.camera_joules.size() == cameras && ck.ledger.residual.size() == cameras,
-            "energy book arrays disagree with camera count");
-    return ck;
-  } catch (const ByteReader::DecodeError& e) {
-    throw SnapshotError(std::string("checkpoint: malformed section: ") + e.what());
+  const std::int32_t num_cameras = ck.num_cameras;
+  require(num_cameras >= 0 && num_cameras <= 4096, "implausible camera count");
+  const auto cameras = static_cast<std::size_t>(num_cameras);
+  require(ck.cameras.size() == cameras && ck.deadline_strikes.size() == cameras &&
+              ck.ladder.size() == cameras,
+          "camera state count disagrees with config");
+  for (const CameraNode& cam : ck.cameras) {
+    const auto algorithm = static_cast<int>(cam.algorithm);
+    require(algorithm >= 0 && algorithm < detect::kNumAlgorithms,
+            "camera algorithm id out of range");
   }
+  for (const Registration& reg : ck.registrations) {
+    require(reg.camera >= 0 && reg.camera < num_cameras,
+            "registration references unknown camera");
+  }
+  require(ck.liveness.last_heard.size() == cameras &&
+              ck.liveness.presumed_alive.size() == cameras,
+          "liveness arrays disagree with camera count");
+  for (const auto& [camera, entry] : ck.pending) {
+    require(camera >= 0 && camera < num_cameras, "pending assignment references unknown camera");
+  }
+  require(ck.ledger.camera_joules.size() == cameras && ck.ledger.residual.size() == cameras,
+          "energy book arrays disagree with camera count");
+  const obs::AnomalyDetector::State& anomaly = ck.anomaly;
+  const std::size_t rounds = anomaly.window_sent.size();
+  require(anomaly.window_lost.size() == rounds && anomaly.window_misses.size() == rounds &&
+              anomaly.window_joules.size() == rounds * cameras &&
+              anomaly.last_flags.size() == cameras,
+          "anomaly windows disagree with each other or with camera count");
+  return ck;
 }
 
 void SimulationCheckpoint::check_config(std::int32_t run_cameras, const ConfigRecord& run) const {

@@ -5,25 +5,29 @@
 // the complete network state (clock, RNG stream, event queue), the
 // durable-runtime extensions (watchdog strikes, degradation ladder), the
 // energy book (every joule total and battery residual) and the anomaly
-// detector's windows. The struct mirrors the loop's state with plain data
-// so the runtime layer stays independent of core; core fills and applies it.
+// detector's windows. The struct holds the loop's own records as they are
+// (runtime/loop_state.hpp and the states its subsystems export), so core
+// fills and applies it with whole-record copies.
 //
 // Serialized through the snapshot container, one CRC-checked section per
 // subsystem. Each persisted struct has one field list in checkpoint.cpp that
-// both encode() and decode() walk, so its wire format is stated once; any
-// change to a list changes the encoding and bumps kSnapshotVersion, and
-// decode() accepts only that version.
+// both encode() and decode() walk (FaultCounters' is for_each_fault_field),
+// so its wire format is stated once; any change to a list changes the
+// encoding and bumps kSnapshotVersion, and decode() accepts only that
+// version.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
 #include "obs/anomaly.hpp"
 #include "obs/ledger.hpp"
 #include "runtime/degradation.hpp"
+#include "runtime/loop_state.hpp"
 #include "runtime/protocol.hpp"
 
 namespace eecs::runtime {
@@ -58,51 +62,23 @@ struct SimulationCheckpoint {
   std::uint64_t windows_evaluated = 0;
   std::uint64_t windows_pruned = 0;
 
-  struct RoundLogState {
-    std::int32_t start_frame = 0;
-    double n_star = 0.0;
-    double p_star = 0.0;
-    double n_est = 0.0;
-    double p_est = 0.0;
-    std::int32_t cameras_active = 0;
-    std::string summary;
-    std::uint8_t midround_recovery = 0;
-  };
-  std::vector<RoundLogState> rounds;
+  std::vector<RoundLog> rounds;
+  /// FaultCounters accumulated before the checkpoint.
+  FaultCounters faults;
 
-  /// FaultCounters accumulated before the checkpoint, in the field order of
-  /// core::FaultCounters (the simulation owns the ordering and the count).
-  std::vector<std::int64_t> fault_counters;
+  // ---- Per-camera device + runtime state, one entry per camera each.
+  std::vector<CameraNode> cameras;
+  std::vector<int> deadline_strikes;  ///< RoundWatchdog::state().
+  std::vector<DegradationLadder::CameraState> ladder;
 
-  // ---- Per-camera device + runtime state.
-  struct CameraState {
-    std::uint8_t has_assignment = 0;
-    std::uint8_t active = 0;
-    std::int32_t algorithm = 0;
-    double threshold = 0.0;
-    std::uint32_t applied_sequence = 0;
-    std::int32_t deadline_strikes = 0;
-    DegradationLadder::CameraState ladder;
-  };
-  std::vector<CameraState> cameras;
-
-  /// Controller registration state: (camera, matched item, budget) is enough
-  /// to rebuild the affordable list deterministically.
-  struct Registration {
-    std::int32_t camera = 0;
-    std::int32_t matched_item = -1;
-    double budget = 0.0;
-  };
+  /// Controller registration state, in camera order.
   std::vector<Registration> registrations;
 
   // ---- Controller-side protocol state.
   LivenessTracker::State liveness;
   std::vector<std::int32_t> controller_active;
-  struct PendingEntry {
-    std::int32_t camera = 0;
-    AssignmentRetryQueue::Entry entry;
-  };
-  std::vector<PendingEntry> pending;
+  /// The retry queue's unacked entries, in camera order.
+  std::vector<std::pair<int, AssignmentRetryQueue::Entry>> pending;
   std::uint32_t next_sequence = 0;
 
   // ---- Network substrate.
@@ -117,15 +93,18 @@ struct SimulationCheckpoint {
   obs::EnergyLedger::State ledger;
   obs::AnomalyDetector::State anomaly;
 
+  [[nodiscard]] bool operator==(const SimulationCheckpoint&) const = default;
+
   /// Throws SnapshotError naming the first field where this snapshot's
   /// identity differs from the resuming run's camera count and config record.
   void check_config(std::int32_t run_cameras, const ConfigRecord& run) const;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Throws SnapshotError on any malformed input (bad framing, another
-  /// snapshot version, CRC mismatch, truncated section, a count larger than
-  /// its section, a per-camera array not sized to the camera count, an
-  /// algorithm id out of range).
+  /// Throws SnapshotError on any malformed input (bad framing, bytes after
+  /// the last section, another snapshot version, CRC mismatch, a section
+  /// shorter or longer than its field list, a count larger than its section,
+  /// a per-camera array not sized to the camera count, an algorithm id or a
+  /// camera out of range, anomaly windows of unequal lengths).
   [[nodiscard]] static SimulationCheckpoint decode(std::span<const std::uint8_t> bytes);
 
   void save(const std::string& path) const;

@@ -89,6 +89,8 @@ class DegradationLadder {
     int battery_floor = 0;
     int stress_rung = 0;
     int clean_rounds = 0;
+
+    [[nodiscard]] bool operator==(const CameraState&) const = default;
   };
   [[nodiscard]] const std::vector<CameraState>& state() const { return cameras_; }
   void restore(const std::vector<CameraState>& cameras) { cameras_ = cameras; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/contracts.hpp"
+
 namespace eecs::runtime {
 
 double jitter_hash01(std::uint64_t seed, int camera, int attempts) {
@@ -43,19 +45,20 @@ AssignmentRetryQueue::AckOutcome AssignmentRetryQueue::ack(int camera, std::uint
 bool AssignmentRetryQueue::drop(int camera) { return entries_.erase(camera) > 0; }
 
 bool LivenessTracker::mark_heard(int camera, double time) {
-  if (camera < 0 || camera >= static_cast<int>(last_heard_.size())) return false;
-  last_heard_[static_cast<std::size_t>(camera)] = time;
-  if (presumed_alive_[static_cast<std::size_t>(camera)] != 0) return false;
-  presumed_alive_[static_cast<std::size_t>(camera)] = 1;
+  if (camera < 0 || camera >= static_cast<int>(state_.last_heard.size())) return false;
+  const auto c = static_cast<std::size_t>(camera);
+  state_.last_heard[c] = time;
+  if (state_.presumed_alive[c] != 0) return false;
+  state_.presumed_alive[c] = 1;
   return true;
 }
 
 std::vector<int> LivenessTracker::sweep(double now) {
   std::vector<int> newly_dead;
-  for (std::size_t c = 0; c < last_heard_.size(); ++c) {
-    if (presumed_alive_[c] == 0) continue;
-    if (now - last_heard_[c] <= timeout_) continue;
-    presumed_alive_[c] = 0;
+  for (std::size_t c = 0; c < state_.last_heard.size(); ++c) {
+    if (state_.presumed_alive[c] == 0) continue;
+    if (now - state_.last_heard[c] <= timeout_) continue;
+    state_.presumed_alive[c] = 0;
     newly_dead.push_back(static_cast<int>(c));
   }
   return newly_dead;
@@ -63,22 +66,16 @@ std::vector<int> LivenessTracker::sweep(double now) {
 
 std::set<int> LivenessTracker::alive_set() const {
   std::set<int> alive;
-  for (std::size_t c = 0; c < presumed_alive_.size(); ++c) {
-    if (presumed_alive_[c] != 0) alive.insert(static_cast<int>(c));
+  for (std::size_t c = 0; c < state_.presumed_alive.size(); ++c) {
+    if (state_.presumed_alive[c] != 0) alive.insert(static_cast<int>(c));
   }
   return alive;
 }
 
-LivenessTracker::State LivenessTracker::state() const {
-  State state;
-  state.last_heard = last_heard_;
-  state.presumed_alive.assign(presumed_alive_.begin(), presumed_alive_.end());
-  return state;
-}
-
 void LivenessTracker::restore(const State& state) {
-  last_heard_ = state.last_heard;
-  presumed_alive_.assign(state.presumed_alive.begin(), state.presumed_alive.end());
+  EECS_EXPECTS(state.last_heard.size() == state_.last_heard.size() &&
+               state.presumed_alive.size() == state_.presumed_alive.size());
+  state_ = state;
 }
 
 }  // namespace eecs::runtime

@@ -49,6 +49,8 @@ class AssignmentRetryQueue {
     std::uint32_t sequence = 0;
     int attempts = 0;
     double next_retry = 0.0;
+
+    [[nodiscard]] bool operator==(const Entry&) const = default;
   };
 
   /// How an incoming ack relates to the queue.
@@ -110,10 +112,18 @@ class AssignmentRetryQueue {
 /// message. Sweep order and semantics match the legacy inline scan.
 class LivenessTracker {
  public:
+  /// Per-camera time last heard from and presumed-alive flag.
+  struct State {
+    std::vector<double> last_heard;
+    std::vector<std::uint8_t> presumed_alive;
+
+    [[nodiscard]] bool operator==(const State&) const = default;
+  };
+
   LivenessTracker(int num_cameras, double timeout)
       : timeout_(timeout),
-        last_heard_(static_cast<std::size_t>(num_cameras), 0.0),
-        presumed_alive_(static_cast<std::size_t>(num_cameras), 1) {}
+        state_{std::vector<double>(static_cast<std::size_t>(num_cameras), 0.0),
+               std::vector<std::uint8_t>(static_cast<std::size_t>(num_cameras), 1)} {}
 
   /// Record a message from `camera`; returns true when this recovers a
   /// camera previously presumed dead. Out-of-range ids are ignored.
@@ -124,24 +134,20 @@ class LivenessTracker {
   [[nodiscard]] std::vector<int> sweep(double now);
 
   [[nodiscard]] bool alive(int camera) const {
-    return presumed_alive_[static_cast<std::size_t>(camera)] != 0;
+    return state_.presumed_alive[static_cast<std::size_t>(camera)] != 0;
   }
   [[nodiscard]] std::set<int> alive_set() const;
   [[nodiscard]] double last_heard(int camera) const {
-    return last_heard_[static_cast<std::size_t>(camera)];
+    return state_.last_heard[static_cast<std::size_t>(camera)];
   }
 
-  struct State {
-    std::vector<double> last_heard;
-    std::vector<std::uint8_t> presumed_alive;
-  };
-  [[nodiscard]] State state() const;
+  [[nodiscard]] const State& state() const { return state_; }
+  /// `state` must hold one entry per camera in each array.
   void restore(const State& state);
 
  private:
   double timeout_;
-  std::vector<double> last_heard_;
-  std::vector<char> presumed_alive_;
+  State state_;
 };
 
 }  // namespace eecs::runtime

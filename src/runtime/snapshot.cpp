@@ -75,6 +75,7 @@ SnapshotReader::SnapshotReader(std::span<const std::uint8_t> data) {
       // Last occurrence wins; duplicate names cannot occur from SnapshotWriter.
       sections_[name] = std::move(payload);
     }
+    if (reader.remaining() != 0) throw SnapshotError("snapshot: bytes past the last section");
   } catch (const ByteReader::DecodeError&) {
     throw SnapshotError("snapshot: truncated container framing");
   }

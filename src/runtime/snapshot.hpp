@@ -19,8 +19,9 @@
 namespace eecs::runtime {
 
 /// Typed rejection of an unreadable snapshot: bad magic, version from the
-/// future, truncated framing, CRC mismatch, or a malformed section payload
-/// (ByteReader::DecodeError is rethrown as this type by the decoders).
+/// future, truncated framing, bytes past the last section, CRC mismatch, or
+/// a malformed section payload (ByteReader::DecodeError is rethrown as this
+/// type by the decoders).
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -34,7 +35,7 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x53534345;
 /// Bumped whenever the framing or any section's encoding changes, which
 /// includes any change to the checkpoint's field lists or its config record.
 /// SimulationCheckpoint::decode accepts this version only.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Builds a snapshot: open sections in any order, fill each through the
 /// returned ByteWriter, then finish() to frame the container.
@@ -54,8 +55,9 @@ class SnapshotWriter {
 };
 
 /// Parses and validates a snapshot container. Construction checks magic,
-/// version, framing bounds and every section CRC; section payloads are copied
-/// out so the reader does not borrow the input buffer.
+/// version, framing bounds, every section CRC and that the file ends with its
+/// last section; section payloads are copied out so the reader does not
+/// borrow the input buffer.
 class SnapshotReader {
  public:
   explicit SnapshotReader(std::span<const std::uint8_t> data);

@@ -526,5 +526,39 @@ TEST(Anomaly, ExportImportReplaysIdenticalFindings) {
   EXPECT_EQ(a.flagged(0), b.flagged(0));
 }
 
+// observe() indexes the joules window by round and camera, so an imported
+// state must be shaped like the detector's own.
+TEST(Anomaly, ImportRefusesAMisshapenState) {
+  AnomalyOptions options;
+  options.window_rounds = 2;
+  AnomalyDetector detector(options, 2);
+  AnomalyDetector::State state;
+  state.window_sent = {10, 12};
+  state.window_lost = {1, 0};
+  state.window_misses = {0, 1};
+  state.window_joules = {1.0, 2.0, 1.5, 2.5};
+  state.last_flags = {0, 1};
+  state.rounds_seen = 5;
+  detector.import_state(state);
+  EXPECT_TRUE(detector.export_state() == state);
+
+  const auto refused = [&](auto edit) {
+    AnomalyDetector::State bad = state;
+    edit(bad);
+    EXPECT_THROW(detector.import_state(bad), ContractViolation);
+  };
+  refused([](AnomalyDetector::State& s) { s.window_joules.clear(); });
+  refused([](AnomalyDetector::State& s) { s.window_lost.pop_back(); });
+  refused([](AnomalyDetector::State& s) { s.window_misses.push_back(0); });
+  refused([](AnomalyDetector::State& s) { s.last_flags.pop_back(); });
+  refused([](AnomalyDetector::State& s) {  // Three rounds in a two-round window.
+    s.window_sent.push_back(1);
+    s.window_lost.push_back(0);
+    s.window_misses.push_back(0);
+    s.window_joules.insert(s.window_joules.end(), {1.0, 1.0});
+  });
+  EXPECT_TRUE(detector.export_state() == state);
+}
+
 }  // namespace
 }  // namespace eecs::obs

@@ -1,10 +1,10 @@
 // Durable-runtime layer: snapshot container integrity, checkpoint
-// encode/decode hardening (truncation + corruption fuzz, before and past the
-// section CRC), the loop config record resume checks, deterministic
-// retry backoff with jitter, ack semantics (late acks counted, never
-// re-applied), liveness, the round watchdog, the graceful-degradation
-// ladder, FaultPlan validation, and end-to-end checkpoint/resume
-// bit-exactness of the closed loop.
+// encode/decode hardening (truncation, leftover bytes, inconsistent anomaly
+// windows, corruption fuzz before and past the section CRC), the loop config
+// record resume checks, deterministic retry backoff with jitter, ack
+// semantics (late acks counted, never re-applied), liveness, the round
+// watchdog, the graceful-degradation ladder, FaultPlan validation, and
+// end-to-end checkpoint/resume bit-exactness of the closed loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
 #include "detect/detection.hpp"
@@ -101,6 +102,8 @@ TEST(Snapshot, MissingFileThrowsSnapshotError) {
 
 // -------------------------------------------------------------- Checkpoint
 
+/// A checkpoint whose every field holds a value other than its default, so
+/// a member that a field list leaves out cannot survive the round trip.
 SimulationCheckpoint sample_checkpoint() {
   SimulationCheckpoint ck;
   ck.num_cameras = 2;
@@ -112,45 +115,41 @@ SimulationCheckpoint sample_checkpoint() {
   ck.gt_frames_processed = 24;
   ck.windows_evaluated = 716720;
   ck.windows_pruned = 348144;
-  ck.rounds.push_back({1400, 10.5, 0.9, 10.0, 0.88, 2, "cam0:HOG cam1:ACF", 0});
-  ck.fault_counters = {10, 2, 1, 0, 0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 1, 0, 0, 0, 0, 0};
-  ck.cameras.push_back({1, 1, 0, -1.25, 3, 0, {0, 0, 0}});
-  ck.cameras.push_back({1, 0, 1, 0.5, 4, 1, {1, 2, 0}});
-  ck.registrations.push_back({0, 0, 3.0});
-  ck.registrations.push_back({1, 1, 3.0});
+  ck.rounds.push_back({1400, {10.5, 0.9, 10.0, 0.88, 2, "cam0:HOG cam1:ACF"}, true});
+  ck.faults = {10, 2, 1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20};
+  ck.cameras.push_back({true, true, detect::AlgorithmId::Acf, -1.25, 3});
+  ck.cameras.push_back({true, false, detect::AlgorithmId::C4, 0.5, 4});
+  ck.deadline_strikes = {1, 2};
+  ck.ladder = {{1, 2, 3}, {0, 2, 1}};
+  ck.registrations.push_back({1, 2, 3.0});
+  ck.registrations.push_back({0, 0, 2.5});
   ck.liveness.last_heard = {1599.5, 1580.5};
-  ck.liveness.presumed_alive = {1, 1};
+  ck.liveness.presumed_alive = {1, 0};
   ck.controller_active = {0, 1};
-  SimulationCheckpoint::PendingEntry pending;
-  pending.camera = 1;
-  pending.entry.payload = {1, 2, 3, 4};
-  pending.entry.sequence = 4;
-  pending.entry.attempts = 2;
-  pending.entry.next_retry = 1712.5;
-  ck.pending.push_back(pending);
+  ck.pending.push_back({1, {{1, 2, 3, 4}, 4, 2, 1712.5}});
   ck.next_sequence = 5;
   ck.network.now = 1600.0;
   ck.network.sequence = 99;
   ck.network.rx_dropped = 3;
-  ck.network.rng = {{1, 2, 3, 4}, false, 0.0};
-  ck.network.queue.push_back({1600.25, 98, 1, 0, {9, 8, 7}});
+  ck.network.rng = {{1, 2, 3, 4}, true, 0.25};
+  ck.network.queue.push_back({1600.25, 98, 2, 1, {9, 8, 7}});
   ck.ledger.cpu_total = 12.5;
   ck.ledger.radio_total = 0.75;
-  ck.ledger.exact_total.limb[1] = 13;
+  ck.ledger.exact_total = {{5, 13, 1}, true};
   ck.ledger.debits = 3;
   ck.ledger.camera_joules = {10.0, 3.25};
   ck.ledger.residual = {55.0, 44.0};
   obs::LedgerEntry entry;
   entry.joules = 3.25;
   entry.debits = 2;
-  entry.exact.limb[1] = 3;
-  ck.ledger.entries.emplace_back(obs::LedgerKey{1, 0, obs::EnergyStage::Operation, 1,
-                                                obs::EnergyCause::Detect},
+  entry.exact = {{7, 3, 2}, true};
+  ck.ledger.entries.emplace_back(obs::LedgerKey{1, 0, obs::EnergyStage::Assessment, 1,
+                                                obs::EnergyCause::Features},
                                  entry);
   ck.anomaly.rounds_seen = 1;
   ck.anomaly.window_sent = {10};
   ck.anomaly.window_lost = {2};
-  ck.anomaly.window_misses = {0};
+  ck.anomaly.window_misses = {1};
   ck.anomaly.window_joules = {10.0, 3.25};
   ck.anomaly.last_flags = {0, 1};
   return ck;
@@ -168,13 +167,13 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   EXPECT_EQ(back.windows_evaluated, ck.windows_evaluated);
   EXPECT_EQ(back.windows_pruned, ck.windows_pruned);
   ASSERT_EQ(back.rounds.size(), 1u);
-  EXPECT_EQ(back.rounds[0].summary, "cam0:HOG cam1:ACF");
-  EXPECT_EQ(back.fault_counters, ck.fault_counters);
+  EXPECT_EQ(back.rounds[0].stats.summary, "cam0:HOG cam1:ACF");
+  EXPECT_TRUE(back.faults == ck.faults);
   ASSERT_EQ(back.cameras.size(), 2u);
   EXPECT_EQ(back.cameras[1].threshold, 0.5);
-  EXPECT_EQ(back.cameras[1].ladder.stress_rung, 2);
+  EXPECT_EQ(back.ladder[1].stress_rung, 2);
   ASSERT_EQ(back.pending.size(), 1u);
-  EXPECT_EQ(back.pending[0].entry.payload, ck.pending[0].entry.payload);
+  EXPECT_EQ(back.pending[0].second.payload, ck.pending[0].second.payload);
   EXPECT_EQ(back.network.rng.words, ck.network.rng.words);
   ASSERT_EQ(back.network.queue.size(), 1u);
   EXPECT_EQ(back.network.queue[0].payload, ck.network.queue[0].payload);
@@ -186,8 +185,10 @@ TEST(Checkpoint, EncodeDecodeRoundtripIsLossless) {
   EXPECT_EQ(back.ledger.entries[0].second.exact, ck.ledger.entries[0].second.exact);
   EXPECT_EQ(back.anomaly.window_joules, ck.anomaly.window_joules);
 
-  // The decoded checkpoint must re-encode to the exact same bytes (resume
-  // sees everything the writer saved).
+  // The whole checkpoint comes back, every member of every record, and it
+  // re-encodes to the exact same bytes (resume sees everything the writer
+  // saved).
+  EXPECT_TRUE(back == ck);
   EXPECT_EQ(back.encode(), bytes);
 }
 
@@ -289,12 +290,81 @@ TEST(Checkpoint, PayloadCorruptionPastTheCrcNeverEscapesSnapshotError) {
 
   // A count of 0xFFFFFFFF is refused before anything is allocated.
   for (const SectionSpan& span : spans) {
-    if (span.name != "rounds" && span.name != "cameras" && span.name != "counters") continue;
+    if (span.name != "rounds" && span.name != "cameras" && span.name != "registrations") continue;
     std::vector<std::uint8_t> huge = bytes;
     for (std::size_t i = 0; i < 4; ++i) huge[span.begin + i] = 0xFF;
     reseal(huge, span);
     EXPECT_TRUE(rejected(huge)) << span.name;
   }
+}
+
+/// Re-frames a snapshot with section `name`'s payload changed by `edit`, so
+/// every length and CRC is valid again.
+template <typename Edit>
+std::vector<std::uint8_t> reframe(const std::vector<std::uint8_t>& bytes, const std::string& name,
+                                  Edit&& edit) {
+  runtime::SnapshotWriter out;
+  for (const SectionSpan& span : section_spans(bytes)) {
+    const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(span.begin);
+    std::vector<std::uint8_t> payload(begin, begin + static_cast<std::ptrdiff_t>(span.size));
+    if (span.name == name) edit(payload);
+    out.section(span.name).write_bytes(payload);
+  }
+  return out.finish();
+}
+
+// A section longer than its field list and a file longer than its last
+// section are refused, although every length and CRC is valid.
+TEST(Checkpoint, LeftoverBytesAreRejected) {
+  const std::vector<std::uint8_t> bytes = sample_checkpoint().encode();
+  const auto unchanged = [](std::vector<std::uint8_t>&) {};
+  ASSERT_EQ(reframe(bytes, "progress", unchanged), bytes);
+
+  const std::vector<std::uint8_t> grown_section =
+      reframe(bytes, "progress", [](std::vector<std::uint8_t>& payload) { payload.push_back(0); });
+  EXPECT_NO_THROW(runtime::SnapshotReader{grown_section});
+  EXPECT_THROW((void)SimulationCheckpoint::decode(grown_section), SnapshotError);
+
+  std::vector<std::uint8_t> grown_file = bytes;
+  grown_file.push_back(0);
+  EXPECT_THROW(runtime::SnapshotReader{grown_file}, SnapshotError);
+  EXPECT_THROW((void)SimulationCheckpoint::decode(grown_file), SnapshotError);
+}
+
+// The anomaly detector indexes its joules window by round and camera, so the
+// windows must agree with each other and with the camera count.
+TEST(Checkpoint, InconsistentAnomalyWindowsAreRejected) {
+  const auto decodes = [](const SimulationCheckpoint& ck) {
+    try {
+      (void)SimulationCheckpoint::decode(ck.encode());
+      return true;
+    } catch (const SnapshotError&) {
+      return false;
+    }
+  };
+  // Eight full rounds decode.
+  SimulationCheckpoint full = sample_checkpoint();
+  full.anomaly.window_sent.assign(8, 10);
+  full.anomaly.window_lost.assign(8, 2);
+  full.anomaly.window_misses.assign(8, 1);
+  full.anomaly.window_joules.assign(16, 1.5);
+  EXPECT_TRUE(decodes(full));
+
+  SimulationCheckpoint no_joules = full;
+  no_joules.anomaly.window_joules.clear();
+  EXPECT_FALSE(decodes(no_joules));
+  SimulationCheckpoint short_joules = full;
+  short_joules.anomaly.window_joules.pop_back();
+  EXPECT_FALSE(decodes(short_joules));
+  SimulationCheckpoint short_lost = full;
+  short_lost.anomaly.window_lost.pop_back();
+  EXPECT_FALSE(decodes(short_lost));
+  SimulationCheckpoint long_misses = full;
+  long_misses.anomaly.window_misses.push_back(0);
+  EXPECT_FALSE(decodes(long_misses));
+  SimulationCheckpoint extra_flag = full;
+  extra_flag.anomaly.last_flags.push_back(0);
+  EXPECT_FALSE(decodes(extra_flag));
 }
 
 TEST(Checkpoint, CameraCountMismatchIsRejected) {
@@ -317,7 +387,7 @@ TEST(Checkpoint, CameraCountMismatchIsRejected) {
 TEST(Checkpoint, OutOfRangeAlgorithmIsRejected) {
   for (const std::int32_t algorithm : {200, -1, detect::kNumAlgorithms}) {
     SimulationCheckpoint ck = sample_checkpoint();
-    ck.cameras[1].algorithm = algorithm;
+    ck.cameras[1].algorithm = static_cast<detect::AlgorithmId>(algorithm);
     EXPECT_THROW((void)SimulationCheckpoint::decode(ck.encode()), SnapshotError) << algorithm;
   }
 }
@@ -573,6 +643,17 @@ TEST(Liveness, SilenceKillsAndMessagesRecover) {
   EXPECT_TRUE(tracker.alive(0));
 }
 
+TEST(Liveness, RestoreTakesOneEntryPerCamera) {
+  LivenessTracker tracker(2, 50.0);
+  const LivenessTracker::State state{{100.0, 40.0}, {1, 0}};
+  tracker.restore(state);
+  EXPECT_TRUE(tracker.state() == state);
+  EXPECT_EQ(tracker.alive_set(), (std::set<int>{0}));
+  EXPECT_THROW(tracker.restore({{100.0}, {1}}), ContractViolation);
+  EXPECT_THROW(tracker.restore({{100.0, 40.0}, {1, 0, 1}}), ContractViolation);
+  EXPECT_TRUE(tracker.state() == state);
+}
+
 // ---------------------------------------------------------------- Watchdog
 
 TEST(Watchdog, DisabledWatchdogNeverMissesOrFails) {
@@ -803,7 +884,9 @@ TEST_F(RuntimeResume, CheckpointThenResumeIsBitIdenticalToUninterrupted) {
 
 // The context gate changes results whether the config or EECS_CONTEXT_GATE
 // turns it on, so resume refuses either and names the field. A snapshot whose
-// fault counters do not match this build's field list is refused too.
+// fault counters are one field short or one field long is refused too, and
+// the refusal names the section, as is one whose registration names a
+// training item outside this run's knowledge base.
 TEST_F(RuntimeResume, MismatchedSnapshotsAreRefused) {
   const ScopedEnv no_gate_override("EECS_CONTEXT_GATE", nullptr);
   const char* path = "test_runtime_resume_gate.snap";
@@ -829,15 +912,27 @@ TEST_F(RuntimeResume, MismatchedSnapshotsAreRefused) {
   const std::string config_refusal = refusal(gated);
   EXPECT_NE(config_refusal.find(named), std::string::npos) << config_refusal;
 
-  const char* short_path = "test_runtime_resume_short.snap";
-  SimulationCheckpoint short_counters = SimulationCheckpoint::load(path);
-  short_counters.fault_counters.pop_back();
-  short_counters.save(short_path);
-  core::EecsSimulationConfig short_resume = config();
-  short_resume.runtime.resume_from = short_path;
-  const std::string counters_refusal = refusal(short_resume);
-  EXPECT_NE(counters_refusal.find("fault counters"), std::string::npos) << counters_refusal;
-  std::remove(short_path);
+  const std::vector<std::uint8_t> snapshot = runtime::read_snapshot_file(path);
+  const char* edited_path = "test_runtime_resume_edited.snap";
+  core::EecsSimulationConfig edited_resume = config();
+  edited_resume.runtime.resume_from = edited_path;
+  // frames_parked, the field list's last field, is a long.
+  for (const bool longer : {false, true}) {
+    runtime::write_snapshot_file(
+        edited_path, reframe(snapshot, "counters", [&](std::vector<std::uint8_t>& payload) {
+          payload.resize(longer ? payload.size() + sizeof(long) : payload.size() - sizeof(long));
+        }));
+    const std::string counters_refusal = refusal(edited_resume);
+    EXPECT_NE(counters_refusal.find("'counters'"), std::string::npos)
+        << (longer ? "long: " : "short: ") << counters_refusal;
+  }
+  SimulationCheckpoint unknown_item = SimulationCheckpoint::load(path);
+  ASSERT_FALSE(unknown_item.registrations.empty());
+  unknown_item.registrations.front().matched_item = static_cast<int>(knowledge().profiles().size());
+  unknown_item.save(edited_path);
+  const std::string item_refusal = refusal(edited_resume);
+  EXPECT_NE(item_refusal.find("unknown training item"), std::string::npos) << item_refusal;
+  std::remove(edited_path);
 
   core::EecsSimulationConfig same = config();
   same.runtime.resume_from = path;
