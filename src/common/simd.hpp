@@ -395,6 +395,15 @@ struct F64xEmul {
     for (int i = 0; i < W; ++i) r.lane[i] = static_cast<double>(p[i]);
     return r;
   }
+  /// Even-lane load: lane i = p[2 * i] (the keypoint response rows read
+  /// lattice points two table columns apart). The native packs load the
+  /// whole span p[0 .. 2 * kLanes - 1], one double past the last lane, so
+  /// the caller keeps that double readable.
+  static F64xEmul load_even(const double* p) {
+    F64xEmul r{};
+    for (int i = 0; i < W; ++i) r.lane[i] = p[2 * i];
+    return r;
+  }
   /// Lanewise (v > t) ? x : y, false on NaN — the cascade's stump predicate.
   [[nodiscard]] static F64xEmul select_gt(F64xEmul v, F64xEmul t, F64xEmul x, F64xEmul y) {
     F64xEmul r{};
@@ -419,6 +428,11 @@ struct F64xEmul {
   friend F64xEmul operator*(F64xEmul a, F64xEmul b) {
     F64xEmul r{};
     for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] * b.lane[i];
+    return r;
+  }
+  friend F64xEmul operator/(F64xEmul a, F64xEmul b) {
+    F64xEmul r{};
+    for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] / b.lane[i];
     return r;
   }
 };
@@ -568,6 +582,9 @@ struct F64x2 {
     return {_mm_cvtps_pd(_mm_castsi128_ps(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))))};
   }
+  static F64x2 load_even(const double* p) {
+    return {_mm_unpacklo_pd(_mm_loadu_pd(p), _mm_loadu_pd(p + 2))};
+  }
   [[nodiscard]] static F64x2 select_gt(F64x2 v, F64x2 t, F64x2 x, F64x2 y) {
     const __m128d m = _mm_cmpgt_pd(v.v, t.v);
 #if defined(__SSE4_1__)
@@ -584,6 +601,7 @@ struct F64x2 {
   friend F64x2 operator+(F64x2 a, F64x2 b) { return {_mm_add_pd(a.v, b.v)}; }
   friend F64x2 operator-(F64x2 a, F64x2 b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend F64x2 operator*(F64x2 a, F64x2 b) { return {_mm_mul_pd(a.v, b.v)}; }
+  friend F64x2 operator/(F64x2 a, F64x2 b) { return {_mm_div_pd(a.v, b.v)}; }
 };
 
 #elif defined(EECS_SIMD_NEON)
@@ -687,6 +705,7 @@ struct F64x2 {
     return set(static_cast<double>(p[0]), static_cast<double>(p[stride]));
   }
   static F64x2 load2f(const float* p) { return {vcvt_f64_f32(vld1_f32(p))}; }
+  static F64x2 load_even(const double* p) { return {vld2q_f64(p).val[0]}; }
   [[nodiscard]] static F64x2 select_gt(F64x2 v, F64x2 t, F64x2 x, F64x2 y) {
     return {vbslq_f64(vcgtq_f64(v.v, t.v), x.v, y.v)};
   }
@@ -700,6 +719,7 @@ struct F64x2 {
   friend F64x2 operator+(F64x2 a, F64x2 b) { return {vaddq_f64(a.v, b.v)}; }
   friend F64x2 operator-(F64x2 a, F64x2 b) { return {vsubq_f64(a.v, b.v)}; }
   friend F64x2 operator*(F64x2 a, F64x2 b) { return {vmulq_f64(a.v, b.v)}; }
+  friend F64x2 operator/(F64x2 a, F64x2 b) { return {vdivq_f64(a.v, b.v)}; }
 };
 
 #else  // scalar-only build: the native names alias the emulation.
@@ -828,6 +848,11 @@ struct F64x4 {
   EECS_SIMD_TIER256 static F64x4 load2f(const float* p) {
     return {_mm256_cvtps_pd(_mm_loadu_ps(p))};
   }
+  // unpacklo gives (p0, p4, p2, p6); the lane permute puts them in order.
+  EECS_SIMD_TIER256 static F64x4 load_even(const double* p) {
+    const __m256d mixed = _mm256_unpacklo_pd(_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4));
+    return {_mm256_permute4x64_pd(mixed, _MM_SHUFFLE(3, 1, 2, 0))};
+  }
   [[nodiscard]] EECS_SIMD_TIER256 static F64x4 select_gt(F64x4 v, F64x4 t, F64x4 x, F64x4 y) {
     return {_mm256_blendv_pd(y.v, x.v, _mm256_cmp_pd(v.v, t.v, _CMP_GT_OQ))};
   }
@@ -841,11 +866,17 @@ struct F64x4 {
   EECS_SIMD_TIER256 friend F64x4 operator+(F64x4 a, F64x4 b) { return {_mm256_add_pd(a.v, b.v)}; }
   EECS_SIMD_TIER256 friend F64x4 operator-(F64x4 a, F64x4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
   EECS_SIMD_TIER256 friend F64x4 operator*(F64x4 a, F64x4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER256 friend F64x4 operator/(F64x4 a, F64x4 b) { return {_mm256_div_pd(a.v, b.v)}; }
 };
 
 #endif  // EECS_SIMD_AVX2
 
 #if defined(EECS_SIMD_AVX512)
+
+// GCC 12's unmasked sqrt, gather, min, max, roundscale and cvtps_pd merge
+// into an `_mm512_undefined_*()` source, which its -Wmaybe-uninitialized
+// then flags. These packs call the masked forms with a zero source and an
+// all-ones mask instead: the same instruction on every lane.
 
 struct U32x16 {
   static constexpr int kLanes = 16;
@@ -899,7 +930,8 @@ struct F32x16 {
     return {_mm512_setr_ps(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, q)};
   }
   EECS_SIMD_TIER512 static F32x16 gather(const float* p, const int* idx) {
-    return {_mm512_i32gather_ps(_mm512_loadu_si512(idx), p, 4)};
+    return {
+        _mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF, _mm512_loadu_si512(idx), p, 4)};
   }
   EECS_SIMD_TIER512 static F32x16 gather_stride(const float* p, std::size_t stride) {
     alignas(64) float tmp[16];
@@ -926,16 +958,19 @@ struct F32x16 {
     return {_mm512_div_ps(a.v, b.v)};
   }
 
-  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 sqrt(F32x16 a) { return {_mm512_sqrt_ps(a.v)}; }
+  [[nodiscard]] EECS_SIMD_TIER512 static F32x16 sqrt(F32x16 a) {
+    return {_mm512_mask_sqrt_ps(_mm512_setzero_ps(), 0xFFFF, a.v)};
+  }
   [[nodiscard]] EECS_SIMD_TIER512 static F32x16 floor(F32x16 a) {
-    return {_mm512_roundscale_ps(a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+    return {_mm512_mask_roundscale_ps(_mm512_setzero_ps(), 0xFFFF, a.v,
+                                      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
   }
   // AVX-512 vminps/vmaxps keep the SSE tie rule (return b on ties/NaN).
   [[nodiscard]] EECS_SIMD_TIER512 static F32x16 min(F32x16 a, F32x16 b) {
-    return {_mm512_min_ps(a.v, b.v)};
+    return {_mm512_mask_min_ps(_mm512_setzero_ps(), 0xFFFF, a.v, b.v)};
   }
   [[nodiscard]] EECS_SIMD_TIER512 static F32x16 max(F32x16 a, F32x16 b) {
-    return {_mm512_max_ps(a.v, b.v)};
+    return {_mm512_mask_max_ps(_mm512_setzero_ps(), 0xFFFF, a.v, b.v)};
   }
   [[nodiscard]] EECS_SIMD_TIER512 static Mask gt(F32x16 a, F32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ), -1)};
@@ -981,7 +1016,11 @@ struct F64x8 {
     return {_mm512_load_pd(tmp)};
   }
   EECS_SIMD_TIER512 static F64x8 load2f(const float* p) {
-    return {_mm512_cvtps_pd(_mm256_loadu_ps(p))};
+    return {_mm512_mask_cvtps_pd(_mm512_setzero_pd(), 0xFF, _mm256_loadu_ps(p))};
+  }
+  EECS_SIMD_TIER512 static F64x8 load_even(const double* p) {
+    const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    return {_mm512_permutex2var_pd(_mm512_loadu_pd(p), even, _mm512_loadu_pd(p + 8))};
   }
   [[nodiscard]] EECS_SIMD_TIER512 static F64x8 select_gt(F64x8 v, F64x8 t, F64x8 x, F64x8 y) {
     return {_mm512_mask_blend_pd(_mm512_cmp_pd_mask(v.v, t.v, _CMP_GT_OQ), y.v, x.v)};
@@ -996,6 +1035,7 @@ struct F64x8 {
   EECS_SIMD_TIER512 friend F64x8 operator+(F64x8 a, F64x8 b) { return {_mm512_add_pd(a.v, b.v)}; }
   EECS_SIMD_TIER512 friend F64x8 operator-(F64x8 a, F64x8 b) { return {_mm512_sub_pd(a.v, b.v)}; }
   EECS_SIMD_TIER512 friend F64x8 operator*(F64x8 a, F64x8 b) { return {_mm512_mul_pd(a.v, b.v)}; }
+  EECS_SIMD_TIER512 friend F64x8 operator/(F64x8 a, F64x8 b) { return {_mm512_div_pd(a.v, b.v)}; }
 };
 
 #endif  // EECS_SIMD_AVX512

@@ -220,8 +220,10 @@ OfflineKnowledge run_offline_training(const DetectorBank& detectors,
     TrainingItemProfile profile;
     profile.dataset = items[i].dataset;
     profile.camera = items[i].camera;
-    profile.label =
-        "T" + std::to_string(profile.dataset) + "." + std::to_string(profile.camera + 1);
+    profile.label = "T";
+    profile.label += std::to_string(profile.dataset);
+    profile.label += '.';
+    profile.label += std::to_string(profile.camera + 1);
     profile.algorithms = make_profiles(measured[i].runs, options, nullptr);
     comparator.add_training_item(measured[i].features, profile.label);
     profiles.push_back(std::move(profile));

@@ -52,6 +52,19 @@ std::string config_text(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+/// open + parts joined by ',' + close, built by appends: GCC 12 at -O3
+/// flags `"literal" + std::string` with a false -Wrestrict.
+std::string joined(char open, const std::vector<std::string>& parts, char close) {
+  std::string out(1, open);
+  for (const std::string& part : parts) {
+    if (out.size() > 1) out += ',';
+    out += part;
+  }
+  out += close;
+  return out;
+}
+
 template <typename T>
 std::string config_text(const T& v) {
   if constexpr (std::is_enum_v<T>) {
@@ -60,15 +73,15 @@ std::string config_text(const T& v) {
     return std::to_string(v);
   } else if constexpr (std::is_same_v<T, net::LossWindow>) {
     const auto& [start, end, loss_probability, node] = v;  // Every member, or no build.
-    return "{" + config_text(start) + "," + config_text(end) + "," +
-           config_text(loss_probability) + "," + config_text(node) + "}";
+    return joined('{', {config_text(start), config_text(end), config_text(loss_probability),
+                        config_text(node)}, '}');
   } else if constexpr (std::is_same_v<T, net::CrashWindow>) {
     const auto& [node, start, end] = v;
-    return "{" + config_text(node) + "," + config_text(start) + "," + config_text(end) + "}";
+    return joined('{', {config_text(node), config_text(start), config_text(end)}, '}');
   } else {
-    std::string out = "[";
-    for (const auto& e : v) out += (out.size() > 1 ? "," : "") + config_text(e);
-    return out + "]";
+    std::vector<std::string> parts;
+    for (const auto& e : v) parts.push_back(config_text(e));
+    return joined('[', parts, ']');
   }
 }
 

@@ -1,5 +1,6 @@
 #include "features/frame_feature.hpp"
 
+#include "common/parallel.hpp"
 #include "features/hog.hpp"
 #include "features/keypoints.hpp"
 #include "imaging/filter.hpp"
@@ -10,9 +11,13 @@ FrameFeatureExtractor::FrameFeatureExtractor(const std::vector<imaging::Image>& 
                                              const FrameFeatureParams& params, Rng& rng)
     : params_(params) {
   EECS_EXPECTS(!vocabulary_frames.empty());
+  // Frames are independent; their descriptors are concatenated in frame
+  // order, so k-means sees the serial loop's input.
+  auto per_frame = common::parallel_map<std::vector<std::vector<float>>>(
+      vocabulary_frames.size(),
+      [&](std::size_t i) { return extract_descriptors(vocabulary_frames[i]); });
   std::vector<std::vector<float>> all_descriptors;
-  for (const auto& frame : vocabulary_frames) {
-    auto descriptors = extract_descriptors(frame);
+  for (auto& descriptors : per_frame) {
     all_descriptors.insert(all_descriptors.end(), std::make_move_iterator(descriptors.begin()),
                            std::make_move_iterator(descriptors.end()));
   }
@@ -27,14 +32,17 @@ int FrameFeatureExtractor::dimension() const {
 
 std::vector<float> FrameFeatureExtractor::extract(const imaging::Image& frame,
                                                   energy::CostCounter* cost) const {
+  // One grey image feeds all three blocks; each kernel uses a grey input in
+  // place.
+  imaging::Image gray_storage;
+  const imaging::Image& gray = imaging::gray_view(frame, gray_storage);
   std::vector<float> feat =
-      global_descriptor(frame, params_.hog_pool_x, params_.hog_pool_y, {}, cost);
-  const std::vector<float> bow = bow_frame_histogram(frame, vocabulary_, cost);
+      global_descriptor(gray, params_.hog_pool_x, params_.hog_pool_y, {}, cost);
+  const std::vector<float> bow = bow_frame_histogram(gray, vocabulary_, cost);
   feat.reserve(static_cast<std::size_t>(dimension()));
   for (float v : bow) feat.push_back(params_.bow_weight * v);
 
   // Intensity-layout block: block-mean luminance on a coarse grid.
-  const imaging::Image gray = imaging::to_gray(frame);
   const int pool = params_.intensity_pool;
   for (int py = 0; py < pool; ++py) {
     for (int px = 0; px < pool; ++px) {

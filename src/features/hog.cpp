@@ -104,7 +104,8 @@ std::span<const float> HogGrid::cell(int cx, int cy) const {
 HogGrid compute_hog_grid(const imaging::Image& img, const HogParams& params,
                          energy::CostCounter* cost) {
   EECS_EXPECTS(params.cell_size >= 2 && params.bins >= 2);
-  const imaging::Image gray = imaging::to_gray(img);
+  imaging::Image gray_storage;
+  const imaging::Image& gray = imaging::gray_view(img, gray_storage);
   const int cells_x = img.width() / params.cell_size;
   const int cells_y = img.height() / params.cell_size;
   HogGrid grid(cells_x, cells_y, params.bins);

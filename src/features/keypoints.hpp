@@ -8,6 +8,7 @@
 
 #include "energy/cost.hpp"
 #include "imaging/image.hpp"
+#include "imaging/integral.hpp"
 
 namespace eecs::features {
 
@@ -26,7 +27,13 @@ struct KeypointParams {
   std::vector<int> scales{2, 4, 6};  ///< Box filter half-sizes (pixels).
 };
 
-/// Detect keypoints on the grayscale version of `img`.
+/// Determinant-of-Hessian responses of box-filter half-size `s` (>= 1) on
+/// the stride-2 lattice of `ii`'s image: (width/2) x (height/2) floats, row
+/// major. Points whose filters would leave the image hold 0.
+[[nodiscard]] std::vector<float> hessian_response_map(const imaging::IntegralImage& ii, int s);
+
+/// Detect keypoints on the grayscale version of `img`: local maxima of the
+/// response maps of params.scales.
 [[nodiscard]] std::vector<Keypoint> detect_keypoints(const imaging::Image& img,
                                                      const KeypointParams& params = {},
                                                      energy::CostCounter* cost = nullptr);

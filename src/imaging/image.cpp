@@ -110,6 +110,12 @@ Image to_gray(const Image& img) {
   return out;
 }
 
+const Image& gray_view(const Image& img, Image& storage) {
+  if (img.channels() == 1) return img;
+  storage = to_gray(img);
+  return storage;
+}
+
 float channel_mean(const Image& img, int c) {
   EECS_EXPECTS(!img.empty());
   const auto p = img.plane(c);

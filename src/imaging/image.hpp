@@ -88,6 +88,11 @@ class Image {
 /// Luma conversion (Rec. 601 weights); identity for single-channel input.
 [[nodiscard]] Image to_gray(const Image& img);
 
+/// The grey image of `img` without to_gray's copy of an image that is
+/// already grey: `img` itself when single-channel, else to_gray(img) held in
+/// `storage`.
+[[nodiscard]] const Image& gray_view(const Image& img, Image& storage);
+
 /// Mean of all pixels in a channel.
 [[nodiscard]] float channel_mean(const Image& img, int c);
 

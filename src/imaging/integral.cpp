@@ -95,14 +95,4 @@ double IntegralImage::rect_sum(int x0, int y0, int x1, int y1) const {
   return table_at(x1, y1) - table_at(x0, y1) - table_at(x1, y0) + table_at(x0, y0);
 }
 
-double IntegralImage::rect_mean(int x0, int y0, int x1, int y1) const {
-  const int cx0 = std::clamp(x0, 0, width_);
-  const int cx1 = std::clamp(x1, 0, width_);
-  const int cy0 = std::clamp(y0, 0, height_);
-  const int cy1 = std::clamp(y1, 0, height_);
-  const long long area = static_cast<long long>(cx1 - cx0) * static_cast<long long>(cy1 - cy0);
-  if (area <= 0) return 0.0;
-  return rect_sum(cx0, cy0, cx1, cy1) / static_cast<double>(area);
-}
-
 }  // namespace eecs::imaging

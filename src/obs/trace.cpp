@@ -41,11 +41,18 @@ std::string args_json(const TraceEvent& e) {
   out += "\"sim_time\": " + format_double(e.sim_time);
   for (const auto& [k, v] : e.num_args) {
     sep();
-    out += "\"" + json_escape(k) + "\": " + format_double(v);
+    out += '"';
+    out += json_escape(k);
+    out += "\": ";
+    out += format_double(v);
   }
   for (const auto& [k, v] : e.str_args) {
     sep();
-    out += "\"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
+    out += '"';
+    out += json_escape(k);
+    out += "\": \"";
+    out += json_escape(v);
+    out += '"';
   }
   out += "}";
   return out;

@@ -200,11 +200,10 @@ std::vector<std::uint8_t> SimulationCheckpoint::encode() const {
 
 SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> bytes) {
   const SnapshotReader snapshot(bytes);
-  // Another version's sections may encode differently, and an older one
-  // cannot show that its config matches this build's record.
-  require(snapshot.version() == kSnapshotVersion, "snapshot version is not this build's");
   SimulationCheckpoint ck;
+  std::vector<std::string> table;
   for_each_section([&](const char* name, auto... members) {
+    table.emplace_back(name);
     ByteReader in = snapshot.open(name);
     Reader reader{in};
     try {
@@ -218,6 +217,13 @@ SimulationCheckpoint SimulationCheckpoint::decode(std::span<const std::uint8_t> 
                           "' has bytes past its fields");
     }
   });
+  // This version's writer emits exactly the table's sections, so any other
+  // is neither read nor trusted.
+  for (const std::string& name : snapshot.names()) {
+    if (std::find(table.begin(), table.end(), name) == table.end()) {
+      throw SnapshotError("checkpoint: section '" + name + "' is not in this version's table");
+    }
+  }
 
   const std::int32_t num_cameras = ck.num_cameras;
   require(num_cameras >= 0 && num_cameras <= 4096, "implausible camera count");

@@ -54,10 +54,12 @@ SnapshotReader::SnapshotReader(std::span<const std::uint8_t> data) {
   try {
     ByteReader reader(data);
     if (reader.read_u32() != kSnapshotMagic) throw SnapshotError("snapshot: bad magic");
-    version_ = reader.read_u32();
-    if (version_ > kSnapshotVersion) {
-      throw SnapshotError("snapshot: version " + std::to_string(version_) +
-                          " is newer than supported version " + std::to_string(kSnapshotVersion));
+    // Another version's sections may encode differently, and an older one
+    // cannot show that its config matches this build's record.
+    const std::uint32_t version = reader.read_u32();
+    if (version != kSnapshotVersion) {
+      throw SnapshotError("snapshot: version " + std::to_string(version) +
+                          " is not this build's version " + std::to_string(kSnapshotVersion));
     }
     const std::uint32_t count = reader.read_u32();
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -72,8 +74,10 @@ SnapshotReader::SnapshotReader(std::span<const std::uint8_t> data) {
       if (crc32(payload) != expected_crc) {
         throw SnapshotError("snapshot: section '" + name + "' CRC mismatch");
       }
-      // Last occurrence wins; duplicate names cannot occur from SnapshotWriter.
-      sections_[name] = std::move(payload);
+      // SnapshotWriter never repeats a name, so a repeat is corruption.
+      if (!sections_.emplace(name, std::move(payload)).second) {
+        throw SnapshotError("snapshot: section '" + name + "' appears twice");
+      }
     }
     if (reader.remaining() != 0) throw SnapshotError("snapshot: bytes past the last section");
   } catch (const ByteReader::DecodeError&) {
@@ -85,6 +89,13 @@ ByteReader SnapshotReader::open(const std::string& name) const {
   const auto it = sections_.find(name);
   if (it == sections_.end()) throw SnapshotError("snapshot: missing section '" + name + "'");
   return ByteReader(it->second);
+}
+
+std::vector<std::string> SnapshotReader::names() const {
+  std::vector<std::string> out;
+  out.reserve(sections_.size());
+  for (const auto& [name, payload] : sections_) out.push_back(name);
+  return out;
 }
 
 void write_snapshot_file(const std::string& path, std::span<const std::uint8_t> bytes) {

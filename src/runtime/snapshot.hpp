@@ -2,9 +2,12 @@
 // snapshot is a flat sequence of named sections, each carrying an opaque
 // payload framed through common/bytes: decoders for individual sections stay
 // ordinary ByteReader code while the container handles integrity (per-section
-// CRC32), versioning (newer-than-us files are rejected, unknown sections are
-// skipped for forward compatibility), and bounds checking (a corrupt length
-// prefix throws instead of reading out of bounds or allocating gigabytes).
+// CRC32), versioning (a file of any other version is rejected), unique
+// section names, and bounds checking (a corrupt length prefix throws instead
+// of reading out of bounds or allocating gigabytes). The container carries
+// sections that no caller opens; a caller that knows every section of its
+// version, as SimulationCheckpoint::decode does, refuses them through
+// names().
 #pragma once
 
 #include <cstdint>
@@ -18,10 +21,10 @@
 
 namespace eecs::runtime {
 
-/// Typed rejection of an unreadable snapshot: bad magic, version from the
-/// future, truncated framing, bytes past the last section, CRC mismatch, or
-/// a malformed section payload (ByteReader::DecodeError is rethrown as this
-/// type by the decoders).
+/// Typed rejection of an unreadable snapshot: bad magic, another version,
+/// truncated framing, a repeated section name, bytes past the last section,
+/// CRC mismatch, or a malformed section payload (ByteReader::DecodeError is
+/// rethrown as this type by the decoders).
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -34,7 +37,7 @@ class SnapshotError : public std::runtime_error {
 inline constexpr std::uint32_t kSnapshotMagic = 0x53534345;
 /// Bumped whenever the framing or any section's encoding changes, which
 /// includes any change to the checkpoint's field lists or its config record.
-/// SimulationCheckpoint::decode accepts this version only.
+/// SnapshotReader accepts this version only.
 inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Builds a snapshot: open sections in any order, fill each through the
@@ -55,21 +58,21 @@ class SnapshotWriter {
 };
 
 /// Parses and validates a snapshot container. Construction checks magic,
-/// version, framing bounds, every section CRC and that the file ends with its
-/// last section; section payloads are copied out so the reader does not
-/// borrow the input buffer.
+/// version, framing bounds, unique section names, every section CRC and that
+/// the file ends with its last section; section payloads are copied out so
+/// the reader does not borrow the input buffer.
 class SnapshotReader {
  public:
   explicit SnapshotReader(std::span<const std::uint8_t> data);
-
-  [[nodiscard]] std::uint32_t version() const { return version_; }
 
   /// ByteReader over a section payload; SnapshotError if the section is
   /// missing (a truncated writer or a file from before the section existed).
   [[nodiscard]] ByteReader open(const std::string& name) const;
 
+  /// Every section's name, in name order.
+  [[nodiscard]] std::vector<std::string> names() const;
+
  private:
-  std::uint32_t version_ = 0;
   std::map<std::string, std::vector<std::uint8_t>> sections_;
 };
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.hpp"
+#include "common/simd.hpp"
 #include "features/bow.hpp"
 #include "features/census.hpp"
 #include "features/color_feature.hpp"
@@ -10,6 +14,8 @@
 #include "features/keypoints.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/filter.hpp"
+#include "imaging/integral.hpp"
+#include "video/scene.hpp"
 
 namespace eecs::features {
 namespace {
@@ -129,6 +135,164 @@ TEST(Keypoints, MaxKeypointsCapRespected) {
   KeypointParams params;
   params.max_keypoints = 10;
   EXPECT_LE(detect_keypoints(img, params).size(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle for the keypoint response maps: the detector as it was before the
+// row kernel, ten clamped rect_sum calls per interior lattice point, then the
+// same non-maximum suppression, sort and truncation.
+// ---------------------------------------------------------------------------
+
+std::vector<float> oracle_response_map(const imaging::IntegralImage& ii, int s) {
+  const int gw = ii.width() / 2;
+  const int gh = ii.height() / 2;
+  std::vector<float> map(static_cast<std::size_t>(gw) * static_cast<std::size_t>(gh), 0.0f);
+  for (int gy = 0; gy < gh; ++gy) {
+    for (int gx = 0; gx < gw; ++gx) {
+      const int x = gx * 2;
+      const int y = gy * 2;
+      if (x < 2 * s || y < 2 * s || x >= ii.width() - 2 * s || y >= ii.height() - 2 * s) continue;
+      const double left = ii.rect_sum(x - 3 * s / 2, y - s, x - s / 2, y + s);
+      const double mid = ii.rect_sum(x - s / 2, y - s, x + s / 2, y + s);
+      const double right = ii.rect_sum(x + s / 2, y - s, x + 3 * s / 2, y + s);
+      const double dxx = mid * 2.0 - left - right;
+      const double top = ii.rect_sum(x - s, y - 3 * s / 2, x + s, y - s / 2);
+      const double vmid = ii.rect_sum(x - s, y - s / 2, x + s, y + s / 2);
+      const double bottom = ii.rect_sum(x - s, y + s / 2, x + s, y + 3 * s / 2);
+      const double dyy = vmid * 2.0 - top - bottom;
+      const double q1 = ii.rect_sum(x - s, y - s, x, y);
+      const double q2 = ii.rect_sum(x, y - s, x + s, y);
+      const double q3 = ii.rect_sum(x - s, y, x, y + s);
+      const double q4 = ii.rect_sum(x, y, x + s, y + s);
+      const double dxy = (q1 + q4) - (q2 + q3);
+      const double area = static_cast<double>(s) * static_cast<double>(s);
+      const double hxx = dxx / area;
+      const double hyy = dyy / area;
+      const double hxy = dxy / area;
+      const double det = hxx * hyy - 0.81 * hxy * hxy;
+      map[static_cast<std::size_t>(gy) * static_cast<std::size_t>(gw) +
+          static_cast<std::size_t>(gx)] = static_cast<float>(det);
+    }
+  }
+  return map;
+}
+
+std::vector<Keypoint> oracle_keypoints(const imaging::IntegralImage& ii,
+                                       const KeypointParams& params) {
+  const int gw = ii.width() / 2;
+  const int gh = ii.height() / 2;
+  std::vector<Keypoint> keypoints;
+  for (int s : params.scales) {
+    const std::vector<float> map = oracle_response_map(ii, s);
+    const auto at = [&](int gx, int gy) {
+      return map[static_cast<std::size_t>(gy) * static_cast<std::size_t>(gw) +
+                 static_cast<std::size_t>(gx)];
+    };
+    for (int gy = 1; gy < gh - 1; ++gy) {
+      for (int gx = 1; gx < gw - 1; ++gx) {
+        const float v = at(gx, gy);
+        if (v < params.response_threshold) continue;
+        bool is_max = true;
+        for (int dy = -1; dy <= 1 && is_max; ++dy) {
+          for (int dx = -1; dx <= 1; ++dx) {
+            if (dx == 0 && dy == 0) continue;
+            if (at(gx + dx, gy + dy) > v) {
+              is_max = false;
+              break;
+            }
+          }
+        }
+        if (is_max) {
+          keypoints.push_back({static_cast<float>(gx * 2), static_cast<float>(gy * 2),
+                               static_cast<float>(s), v});
+        }
+      }
+    }
+  }
+  std::sort(keypoints.begin(), keypoints.end(),
+            [](const Keypoint& a, const Keypoint& b) { return a.response > b.response; });
+  if (static_cast<int>(keypoints.size()) > params.max_keypoints) {
+    keypoints.resize(static_cast<std::size_t>(params.max_keypoints));
+  }
+  return keypoints;
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// hessian_response_map and detect_keypoints on `gray` equal the oracle bit
+/// for bit in every SIMD mode, at widths 1 and 4.
+void expect_matches_oracle(const Image& gray, const KeypointParams& params) {
+  const imaging::IntegralImage ii(gray);
+  std::vector<std::vector<float>> want_maps;
+  for (int s : params.scales) want_maps.push_back(oracle_response_map(ii, s));
+  const std::vector<Keypoint> want = oracle_keypoints(ii, params);
+  for (int width : {1, 4}) {
+    const common::ScopedThreads threads(width);
+    for (int mode : {0, 1, 128, 256, 512, -128, -256, -512}) {
+      SCOPED_TRACE(testing::Message() << gray.width() << "x" << gray.height() << " width "
+                                      << width << " simd " << mode);
+      const simd::ScopedSimd scoped(mode);
+      const imaging::IntegralImage got_ii(gray);
+      for (std::size_t si = 0; si < params.scales.size(); ++si) {
+        ASSERT_TRUE(same_bits(hessian_response_map(got_ii, params.scales[si]), want_maps[si]))
+            << "scale " << params.scales[si];
+      }
+      ASSERT_TRUE(same_bits(detect_keypoints(gray, params), want));
+    }
+  }
+}
+
+TEST(KeypointOracle, OddGeometriesAndScalesMatchRectSumLoop) {
+  Rng rng(29);
+  KeypointParams odd_scales;
+  odd_scales.scales = {1, 3, 5, 7};
+  for (const auto& [w, h] : {std::pair{64, 48}, std::pair{67, 45}, std::pair{93, 71},
+                             std::pair{30, 31}, std::pair{17, 90}}) {
+    Image img(w, h, 1);
+    // Blobs of every size over noise: responses of both signs at each scale.
+    for (float& v : img.data()) v = static_cast<float>(rng.uniform(0.0, 0.3));
+    for (int b = 0; b < 6; ++b) {
+      const double d = rng.uniform(2.0, 12.0);
+      imaging::fill_ellipse(img, {rng.uniform(0.0, w), rng.uniform(0.0, h), d, d},
+                            Color{0.9f, 0.9f, 0.9f});
+    }
+    KeypointParams low = {};
+    low.response_threshold = 0.0f;  // Keep every local maximum: a longer list.
+    expect_matches_oracle(img, KeypointParams{});
+    expect_matches_oracle(img, odd_scales);
+    expect_matches_oracle(img, low);
+  }
+}
+
+TEST(KeypointOracle, EmptyInteriorHasAZeroMapAndNoKeypoints) {
+  // The interior 2s <= x < w - 2s is empty for every default scale at w = 8,
+  // and for s = 6 but not s = 2 at w = 24.
+  Rng rng(31);
+  for (const auto& [w, h] : {std::pair{8, 8}, std::pair{24, 9}, std::pair{3, 40},
+                             std::pair{1, 1}}) {
+    Image img(w, h, 1);
+    for (float& v : img.data()) v = static_cast<float>(rng.uniform());
+    expect_matches_oracle(img, KeypointParams{});
+    if (w == 8) {
+      const imaging::IntegralImage ii(img);
+      for (int s : {2, 4, 6}) {
+        for (float v : hessian_response_map(ii, s)) EXPECT_EQ(v, 0.0f);
+      }
+      EXPECT_TRUE(detect_keypoints(img).empty());
+    }
+  }
+}
+
+TEST(KeypointOracle, Dataset2ViewMatchesRectSumLoop) {
+  video::SceneSimulator sim(video::dataset2_chap(), 5);
+  const Image gray = imaging::to_gray(sim.view(0));
+  ASSERT_EQ(gray.width(), 1024);
+  ASSERT_EQ(gray.height(), 768);
+  expect_matches_oracle(gray, KeypointParams{});
 }
 
 TEST(Bow, EncodeIsL1NormalizedHistogram) {

@@ -204,14 +204,6 @@ TEST(Integral, OutOfBoundsClampsAndEmptyIsZero) {
   const IntegralImage ii(img);
   EXPECT_NEAR(ii.rect_sum(-5, -5, 10, 10), 9.0, 1e-9);
   EXPECT_EQ(ii.rect_sum(2, 2, 2, 2), 0.0);
-  EXPECT_EQ(ii.rect_mean(3, 3, 2, 2), 0.0);
-}
-
-TEST(Integral, RectMean) {
-  Image img(4, 4, 1);
-  img.fill(0.5f);
-  const IntegralImage ii(img);
-  EXPECT_NEAR(ii.rect_mean(0, 0, 4, 2), 0.5, 1e-9);
 }
 
 TEST(Integral, OddAndDegenerateGeometries) {

@@ -103,7 +103,8 @@ TEST(Tracer, RingOverflowKeepsNewestAndCountsDropped) {
   Tracer tracer(4);
   for (int i = 0; i < 6; ++i) {
     TraceEvent e;
-    e.name = "e" + std::to_string(i);
+    e.name = "e";
+    e.name += std::to_string(i);
     tracer.record(std::move(e));
   }
   EXPECT_EQ(tracer.recorded(), 6u);

@@ -55,7 +55,6 @@ TEST(Snapshot, SectionRoundtripPreservesPayloads) {
   const std::vector<std::uint8_t> bytes = w.finish();
 
   const runtime::SnapshotReader r(bytes);
-  EXPECT_EQ(r.version(), runtime::kSnapshotVersion);
   ByteReader alpha = r.open("alpha");
   EXPECT_EQ(alpha.read_u32(), 0xdeadbeefu);
   ByteReader b = r.open("beta");
@@ -85,6 +84,30 @@ TEST(Snapshot, BadMagicAndFutureVersionAreRejected) {
   std::vector<std::uint8_t> future = bytes;
   future[4] = static_cast<std::uint8_t>(runtime::kSnapshotVersion + 1);
   EXPECT_THROW(runtime::SnapshotReader{future}, SnapshotError);
+}
+
+// Only this build's version is read: an older one is refused by the
+// container, not left to each caller.
+TEST(Snapshot, OlderVersionIsRejected) {
+  runtime::SnapshotWriter w;
+  w.section("s").write_u8(1);
+  std::vector<std::uint8_t> bytes = w.finish();
+  bytes[4] = static_cast<std::uint8_t>(runtime::kSnapshotVersion - 1);  // u32 LE version.
+  EXPECT_THROW(runtime::SnapshotReader{bytes}, SnapshotError);
+}
+
+// The writer never repeats a name; a repeat must not overwrite the first.
+TEST(Snapshot, RepeatedSectionNameIsRejected) {
+  runtime::SnapshotWriter w;
+  w.section("ab").write_u8(1);
+  w.section("ac").write_u8(2);
+  std::vector<std::uint8_t> bytes = w.finish();
+  // Rename "ac" to "ab": names sit outside the CRC, so only the repeat is wrong.
+  const std::string second = "ac";
+  const auto it = std::search(bytes.begin(), bytes.end(), second.begin(), second.end());
+  ASSERT_NE(it, bytes.end());
+  *(it + 1) = 'b';
+  EXPECT_THROW(runtime::SnapshotReader{bytes}, SnapshotError);
 }
 
 TEST(Snapshot, PayloadCorruptionFailsTheSectionCrc) {
@@ -390,6 +413,23 @@ TEST(Checkpoint, OutOfRangeAlgorithmIsRejected) {
     ck.cameras[1].algorithm = static_cast<detect::AlgorithmId>(algorithm);
     EXPECT_THROW((void)SimulationCheckpoint::decode(ck.encode()), SnapshotError) << algorithm;
   }
+}
+
+// A well-framed, CRC-valid section that the table does not name is refused:
+// this version's writer never emits one.
+TEST(Checkpoint, SectionOutsideTheTableIsRejected) {
+  std::vector<std::uint8_t> bytes = sample_checkpoint().encode();
+  ASSERT_NO_THROW((void)SimulationCheckpoint::decode(bytes));
+  const std::uint8_t payload[] = {0};
+  ByteWriter extra;
+  extra.write_string("extra");
+  extra.write_u32(1);
+  extra.write_u32(runtime::crc32(payload));
+  extra.write_u8(payload[0]);
+  bytes.insert(bytes.end(), extra.bytes().begin(), extra.bytes().end());
+  ++bytes[8];  // u32 LE section count.
+  ASSERT_NO_THROW(runtime::SnapshotReader{bytes});
+  EXPECT_THROW((void)SimulationCheckpoint::decode(bytes), SnapshotError);
 }
 
 // An older snapshot cannot show that its config matches this build's record.

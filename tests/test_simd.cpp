@@ -14,6 +14,7 @@
 #include "detect/linear_svm.hpp"
 #include "features/census.hpp"
 #include "features/hog.hpp"
+#include "features/keypoints.hpp"
 #include "imaging/filter.hpp"
 #include "imaging/image.hpp"
 #include "imaging/integral.hpp"
@@ -658,6 +659,17 @@ KernelBattery run_kernel_battery() {
   const imaging::IntegralImage integral(gray);
   for (int x1 : {1, 17, 43, 69}) out.f64.push_back(integral.rect_sum(0, 0, x1, 43));
 
+  {
+    // 34-point lattice rows: interiors of 31, 29 and 27 points leave a tail
+    // at every width. A zero threshold keeps every local maximum.
+    features::KeypointParams params;
+    params.scales = {1, 2, 3};
+    params.response_threshold = 0.0f;
+    for (const features::Keypoint& kp : features::detect_keypoints(gray, params)) {
+      out.f32.insert(out.f32.end(), {kp.x, kp.y, kp.scale, kp.response});
+    }
+  }
+
   linalg::Matrix a(7, 13);
   linalg::Matrix b(13, 5);
   for (int i = 0; i < 7; ++i) {
@@ -747,6 +759,44 @@ TEST(SimdPacks, AllIsaF32OpsMatchSameWidthEmulation) {
     D::gather2f(src, 3).store(dn);
     ED::gather2f(src, 3).store(de);
     expect_bits_eq<double>(dn, de);
+  });
+}
+
+// F64 division and the even-lane load at every width, against the same-width
+// emulation twin on a double rounding-edge grid (zeros, subnormals, huge and
+// non-representable values).
+TEST(SimdPacks, AllIsaF64DivideAndEvenLoadMatchSameWidthEmulation) {
+  const double grid[] = {0.0,   -0.0,    1.0,    -1.0,   0.1,     -0.1,     0.81,
+                         3.0,   -3.0,    36.0,   1e300,  -1e300,  1e-300,   -4.9e-324,
+                         2.5,   1e16,    -7.25,  1.0 / 3.0, 786432.0, 1048575.5, 0.5};
+  constexpr int N = static_cast<int>(std::size(grid));
+  simd::for_each_isa([&](auto isa) {
+    using D = typename decltype(isa)::F64;
+    using E = simd::F64xEmul<D::kLanes>;
+    constexpr int W = D::kLanes;
+    SCOPED_TRACE(testing::Message() << "lanes=" << W << " native=" << decltype(isa)::kIsNative);
+    double n[W];
+    double e[W];
+    for (int base = 0; base < N; ++base) {
+      double va[W];
+      double vb[W];
+      for (int j = 0; j < W; ++j) {
+        va[j] = grid[(base + j) % N];
+        vb[j] = grid[(base + 2 * j + 1) % N];
+      }
+      (D::load(va) / D::load(vb)).store(n);
+      (E::load(va) / E::load(vb)).store(e);
+      expect_bits_eq<double>(n, e);
+    }
+    // The native load reads 2W doubles from p; the last is outside every lane.
+    double src[2 * W + N];
+    for (int i = 0; i < 2 * W + N; ++i) src[i] = grid[i % N];
+    for (int offset = 0; offset < N; ++offset) {
+      D::load_even(src + offset).store(n);
+      E::load_even(src + offset).store(e);
+      expect_bits_eq<double>(n, e);
+      for (int j = 0; j < W; ++j) EXPECT_EQ(std::memcmp(&n[j], &src[offset + 2 * j], 8), 0);
+    }
   });
 }
 
